@@ -1624,7 +1624,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
 
 # FNV-1a 32-bit over the stringified doc_id — the synthgen page-media hash
-# (synthgen.py _stable_hash), computed in pure SQL via list_reduce
+# (functions/hashing.py fnv1a_32), computed in pure SQL via list_reduce
 _FNV_SQL = (
     "list_reduce(list_prepend(2166136261::BIGINT, "
     "list_transform(string_split(CAST(doc_id AS VARCHAR), ''), c -> ord(c)::BIGINT)), "

@@ -56,11 +56,13 @@ def _sf_label(sf_dir: str) -> str:
 GIANT_SPAN_THRESHOLD = 32
 
 
-def _prepare_corpus() -> tuple[str, int]:
-    """Materialize the lifted span corpus to /tmp parquet, PARTITIONED by
-    size class (small/ giant/) so each extraction branch prunes at the read
-    — input prep, untimed, cached across runs keyed on sf+mult."""
-    import ray.data
+def _prepare_corpus() -> tuple[list[str], int]:
+    """Materialize the lifted span corpus to /tmp parquet — input prep,
+    untimed, cached across runs keyed on sf+mult. Returns its files and
+    document count."""
+    import glob as _glob
+
+    import pyarrow.parquet as pq
 
     from pdf_parser_ray.sources import corpus_from_documents
 
@@ -68,27 +70,14 @@ def _prepare_corpus() -> tuple[str, int]:
     # data at the same path invalidates the prepared corpus
     st = os.stat(f"{SF_DIR}/documents.parquet")
     key = f"{_sf_label(SF_DIR)}_m{MULT}_{st.st_size}_{int(st.st_mtime)}"
-    path = f"/tmp/bench_corpus_{key}"
+    path = f"/tmp/bench_corpus_whole_{key}"
     marker = os.path.join(path, "_READY")
     if not os.path.exists(marker):
         shutil.rmtree(path, ignore_errors=True)
-        # ONE lift pass: materialize the corpus once, filter twice from the
-        # object store instead of recomputing the lift per size class
-        from pdf_parser_ray.pipelines.extract import split_by_span_count
-
-        corpus = corpus_from_documents(
-            SF_DIR, heavy_tail=True, mult=MULT
-        ).materialize()
-        split_by_span_count(corpus, GIANT_SPAN_THRESHOLD, giant=False).write_parquet(f"{path}/small")
-        split_by_span_count(corpus, GIANT_SPAN_THRESHOLD, giant=True).write_parquet(f"{path}/giant")
+        corpus_from_documents(SF_DIR, heavy_tail=True, mult=MULT).write_parquet(path)
         open(marker, "w").close()
-    # an all-small (or all-giant) corpus writes nothing for the other
-    # class — write_parquet of an empty dataset creates no directory
-    n_docs = 0
-    for part in ("small", "giant"):
-        if os.path.isdir(f"{path}/{part}"):
-            n_docs += ray.data.read_parquet(f"{path}/{part}").count()
-    return path, n_docs
+    files = sorted(_glob.glob(f"{path}/*.parquet"))
+    return files, sum(pq.ParquetFile(f).metadata.num_rows for f in files)
 
 
 def _prepare_planted_giant(n_pages: int = 28_000) -> str:
@@ -117,52 +106,41 @@ def _prepare_planted_giant(n_pages: int = 28_000) -> str:
 
 
 def run_headline(plant_giant: bool = False) -> dict:
-    """Flagship: read span corpus (size-partitioned) -> skew-aware
-    extraction: whole-doc rows map in place, the giant-doc tail goes through
-    the groupby(bucket) reassembly shuffle -> parquet results.
+    """Flagship: read span corpus -> ``extract_hybrid`` (whole-doc rows map
+    in place, the giant-doc tail goes through the groupby(bucket)
+    reassembly shuffle) -> parquet results.
 
-    ``plant_giant`` additionally feeds the ~100k-span pathological document
-    into the giant branch (the --skewed stress)."""
-    import glob as _glob
-
+    ``plant_giant`` additionally adds the ~100k-span pathological document
+    to the corpus file list (the --skewed stress)."""
     import ray.data
 
-    from pdf_parser_ray.pipelines import extract, extract_fused
+    from pdf_parser_ray.pipelines import extract_hybrid
 
     shutil.rmtree(OUT_DIR, ignore_errors=True)
-    corpus_path, n_docs = _prepare_corpus()
-    giant_files = sorted(_glob.glob(f"{corpus_path}/giant/*.parquet"))
+    files, n_docs = _prepare_corpus()
     if plant_giant:
-        giant_files.append(_prepare_planted_giant())
+        files.append(_prepare_planted_giant())
         n_docs += 1
+    if not files:
+        raise SystemExit("no corpus files prepared")
 
-    # untimed warm-up: page cache, worker imports (either size class may
-    # be absent — an empty write creates no directory)
-    for part in ("small", "giant"):
-        if os.path.isdir(f"{corpus_path}/{part}"):
-            extract_fused(
-                ray.data.read_parquet(f"{corpus_path}/{part}").limit(64)
-            ).count()
-            break
+    def run(read) -> ray.data.Dataset:
+        return extract_hybrid(
+            read,
+            n_buckets=max(NUM_CPUS * 4, 32),
+            giant_span_threshold=GIANT_SPAN_THRESHOLD,
+        )
 
-    n_buckets = max(NUM_CPUS * 4, 32)
+    # untimed warm-up: page cache, worker imports
+    run(lambda: ray.data.read_parquet(files[0]).limit(64)).count()
+
     samples = []
     for _ in range(3):  # median-of-3: one load spike can't set the record
         shutil.rmtree(OUT_DIR, ignore_errors=True)
         t0 = time.time()
-        branches = []
-        if os.path.isdir(f"{corpus_path}/small"):
-            branches.append(extract_fused(ray.data.read_parquet(f"{corpus_path}/small")))
-        if giant_files:
-            branches.append(
-                extract(ray.data.read_parquet(giant_files), n_buckets=n_buckets)
-            )
-        if not branches:
-            raise SystemExit(f"no corpus partitions under {corpus_path}")
-        combined = branches[0]
-        for b in branches[1:]:
-            combined = combined.union(b)
-        combined.write_parquet(os.path.join(OUT_DIR, "extraction"))
+        run(lambda: ray.data.read_parquet(files)).write_parquet(
+            os.path.join(OUT_DIR, "extraction")
+        )
         samples.append(time.time() - t0)
     dt = sorted(samples)[1]
 

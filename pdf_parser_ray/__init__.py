@@ -6,10 +6,13 @@ Ray-Data-first: the corpus is a table of interleaved text+media documents
 ``(doc_id: string, spans: list<struct<kind, text, media_ref, offset>>)``
 processed as a streaming ``ray.data.Dataset`` pipeline —
 
-    read (lance|parquet) -> flat_map(doc -> page chunks)
-      -> map_batches(ChunkRenderer actor pool)      # per-page parse, warm regex banks
-      -> groupby(doc_id).map_groups(DocAssembler)   # THE shuffle: ordered reassembly
+    read (lance|parquet)
+      -> map_batches(render_pages)                  # doc -> page rows, warm regex banks
+      -> groupby(bucket).map_groups(assemble_bucket) # THE shuffle: ordered reassembly
       -> write partitioned parquet (per-bucket checkpoints + lineage/metrics)
+
+Every extraction route runs ``stages.render_doc`` then
+``stages.assemble_doc_rows`` per document; ``extract_fused`` skips the shuffle.
 
 Per-document semantics (page render, metadata regexes, 3-pass TOC parse,
 heading strategies, section assembly) live in :mod:`pdf_parser_ray.doclogic`

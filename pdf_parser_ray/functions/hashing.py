@@ -1,4 +1,4 @@
-"""Shared deterministic 64-bit content hashing.
+"""Shared deterministic content hashing.
 
 One definition for every operator that buckets or samples by md5: the top
 8 digest bytes big-endian, shifted into the non-negative int64 range. The
@@ -20,6 +20,15 @@ def md5_64(s: str) -> int:
 def md5_bucket(s: str, n_buckets: int) -> int:
     """Stable bucket id in [0, n_buckets)."""
     return md5_64(s) % n_buckets
+
+
+def fnv1a_32(s: str) -> int:
+    """FNV-1a 32-bit over the code points of ``str(s)``: the extraction
+    bucket hash, so checkpoint dirs depend on it (tests pin values)."""
+    h = 2166136261
+    for ch in str(s):
+        h = ((h ^ ord(ch)) * 16777619) & 0xFFFFFFFF
+    return h
 
 
 def hll_register(value, w_bits: int) -> tuple[int, int]:

@@ -63,18 +63,27 @@ AUDIO_FEATURES_SCHEMA = pa.schema(
 )
 
 
+def _ref_digest(media_ref: str) -> bytes:
+    """md5 of the media ref (null as ""): the seed of every synthetic payload."""
+    return hashlib.md5((media_ref or "").encode()).digest()
+
+
+def _ref_image(media_ref: str) -> tuple[int, int, np.ndarray]:
+    """(w, h, RGB pixels): 4..35 px per side from digest[0:2], the digest tiled."""
+    digest = _ref_digest(media_ref)
+    w = 4 + digest[0] % 32
+    h = 4 + digest[1] % 32
+    return w, h, np.resize(np.frombuffer(digest, dtype=np.uint8), 3 * w * h)
+
+
 def synthesize_ppm(media_ref: str) -> bytes:
     """Deterministic binary-PPM payload seeded on the media ref: dimensions
     from the first two md5 digest bytes (4..35 px per side), pixels the
     digest tiled to 3*w*h. The closed form (header length + 3*w*h bytes,
     width = 4 + digest[0] % 32) is mirrored by the media_features SQL
     oracle, so the REAL decode path is hash-verified end-to-end."""
-    digest = hashlib.md5((media_ref or "").encode()).digest()
-    w = 4 + digest[0] % 32
-    h = 4 + digest[1] % 32
-    header = f"P6\n{w} {h}\n255\n".encode()
-    pixels = np.resize(np.frombuffer(digest, dtype=np.uint8), 3 * w * h)
-    return header + pixels.tobytes()
+    w, h, pixels = _ref_image(media_ref)
+    return f"P6\n{w} {h}\n255\n".encode() + pixels.tobytes()
 
 
 def synthesize_png(media_ref: str) -> bytes:
@@ -86,10 +95,7 @@ def synthesize_png(media_ref: str) -> bytes:
     the media_features_png query therefore projects dims, not n_bytes)."""
     from pdf_parser_ray.functions.png import encode_png
 
-    digest = hashlib.md5((media_ref or "").encode()).digest()
-    w = 4 + digest[0] % 32
-    h = 4 + digest[1] % 32
-    pixels = np.resize(np.frombuffer(digest, dtype=np.uint8), 3 * w * h)
+    w, h, pixels = _ref_image(media_ref)
     return encode_png(w, h, pixels, color_type=2)
 
 
@@ -103,10 +109,7 @@ def synthesize_jpeg(media_ref: str) -> bytes:
     the media_features_png convention)."""
     from pdf_parser_ray.functions.jpeg import encode_jpeg
 
-    digest = hashlib.md5((media_ref or "").encode()).digest()
-    w = 4 + digest[0] % 32
-    h = 4 + digest[1] % 32
-    pixels = np.resize(np.frombuffer(digest, dtype=np.uint8), 3 * w * h)
+    w, h, pixels = _ref_image(media_ref)
     return encode_jpeg(w, h, pixels, quality=90, subsampling="420")
 
 
@@ -119,7 +122,7 @@ def synthesize_wav(media_ref: str) -> bytes:
     chunk-walk decode."""
     from pdf_parser_ray.functions.wav import encode_wav
 
-    digest = hashlib.md5((media_ref or "").encode()).digest()
+    digest = _ref_digest(media_ref)
     n = 500 + digest[0] * 37 + digest[1]
     channels = 1 + digest[2] % 2
     vals = (
@@ -187,7 +190,7 @@ class MediaDecoder:
     def _decode(self, media_ref: str, payload: bytes) -> dict:
         if self.fake:
             # deterministic fake: dimensions + feature vector from the ref hash
-            digest = hashlib.md5((media_ref or "").encode()).digest()
+            digest = _ref_digest(media_ref)
             width = 64 + digest[0]
             height = 64 + digest[1]
             rng = np.frombuffer(digest[:8], dtype=np.uint8).astype(np.float32)
@@ -366,7 +369,7 @@ def synthesize_mp4(media_ref: str) -> bytes:
     driving the REAL ISO-BMFF box walk."""
     from pdf_parser_ray.functions.mp4 import write_mp4_skeleton
 
-    digest = hashlib.md5((media_ref or "").encode()).digest()
+    digest = _ref_digest(media_ref)
     return write_mp4_skeleton(
         duration_ms=1000 + digest[0] * 97 + digest[1],
         width=16 * (1 + digest[2] % 64),

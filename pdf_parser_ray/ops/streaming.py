@@ -412,7 +412,8 @@ def _windowed_count_partials(
     cols = {key_col: batch[key_col], "win": win}
     order = [lead_col, "win" if lead_col == key_col else key_col]
     t = pa.table({c: cols[c] for c in order})
-    # pyarrow group_by puts the group keys FIRST in its output
+    # aggregate() output column order is not relied upon: columns are
+    # read back by name below
     agg = t.group_by(order).aggregate([([], "count_all")])
     out = pa.table(
         {

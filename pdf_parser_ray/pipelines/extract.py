@@ -1,11 +1,13 @@
 """The flagship main-content extraction pipeline.
 
-Standard (north-rule) shape — two stages joined by THE shuffle:
+Every route runs the same two per-document functions —
+``render_doc`` (spans -> page rows) and ``assemble_doc_rows`` (page rows ->
+one DOC_RESULT row) — and differs only in what sits between them:
 
     corpus (doc_id, spans)
-      -> map_batches(PageRenderer)                  # page-granular fan-out
-      -> groupby(bucket).map_groups(BucketAssembler) # ordered per-doc assembly
-      -> Dataset[DOC_RESULT]                        # all outputs, one row/doc
+      -> map_batches(render_pages)                   # page-granular fan-out
+      -> groupby(bucket).map_groups(assemble_bucket) # ordered per-doc assembly
+      -> Dataset[DOC_RESULT]                         # all outputs, one row/doc
 
 ``extract_fused`` is the no-shuffle fast path for when corpus rows are whole
 documents (the common read_lance layout): render + assemble inside one
@@ -19,12 +21,11 @@ caller materializes or (preferred) reads back a written extraction.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import pyarrow as pa
 import ray.data
 
-from pdf_parser_ray.doclogic.pipeline import run_document
 from pdf_parser_ray.schemas import (
     DOC_RESULT_SCHEMA,
     METADATA_SCHEMA,
@@ -32,18 +33,23 @@ from pdf_parser_ray.schemas import (
     SPAN_FLAT_SCHEMA,
     TOC_SCHEMA,
 )
-from pdf_parser_ray.stages.assemble_stage import BucketAssembler, doc_result_to_row
-from pdf_parser_ray.stages.render_stage import PageRenderer, bucket_of, render_pages
+from pdf_parser_ray.stages.assemble_stage import assemble_bucket, assemble_doc_rows
+from pdf_parser_ray.stages.render_stage import bucket_of, render_doc, render_pages
 
 DEFAULT_N_BUCKETS = 64
+# whole documents per extract_fused batch
+FUSED_BATCH_DOCS = 16
+# documents per render_pages batch: bounds the page rows one task holds, so
+# a run of multi-hundred-page docs can't blow a task's heap
+RENDER_BATCH_DOCS = 32
 
 
 def split_by_span_count(
     ds: ray.data.Dataset, threshold: int, giant: bool
 ) -> ray.data.Dataset:
-    """The size-class predicate shared by extract_hybrid, the sharded
-    checkpoint runner and bench's corpus partitioning: keep docs whose span
-    count is above (``giant=True``) / at-or-below the threshold."""
+    """The size-class predicate shared by extract_hybrid and the sharded
+    checkpoint runner: keep docs whose span count is above
+    (``giant=True``) / at-or-below the threshold."""
 
     def keep(batch: pa.Table) -> pa.Table:
         # fill_null: a null `spans` cell must land in the small branch (and
@@ -61,28 +67,30 @@ def split_by_span_count(
 
 
 def page_rows(
-    corpus_ds: ray.data.Dataset,
-    n_buckets: int = DEFAULT_N_BUCKETS,
-    batch_size: int = 64,
-    concurrency: Optional[Any] = None,
+    corpus_ds: ray.data.Dataset, n_buckets: int = DEFAULT_N_BUCKETS
 ) -> ray.data.Dataset:
     """Stage 1: render per-page rows as elastic tasks (stateless — regex
-    banks warm at module import). ``batch_size`` bounds the docs one task
-    iteration handles so a run of multi-hundred-page docs can't blow a
-    task's heap; pass ``concurrency`` to switch to a fixed actor pool."""
-    if concurrency is not None:
-        return corpus_ds.map_batches(
-            PageRenderer,
-            fn_constructor_kwargs={"n_buckets": n_buckets},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-        )
+    banks warm at module import)."""
     return corpus_ds.map_batches(
         render_pages,
         fn_kwargs={"n_buckets": n_buckets},
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=RENDER_BATCH_DOCS,
+    )
+
+
+def _per_bucket(
+    corpus_ds: ray.data.Dataset,
+    n_buckets: int,
+    fn: Callable[..., pa.Table],
+    **fn_kwargs: Any,
+) -> ray.data.Dataset:
+    """The shuffled plan behind ``extract`` and ``state.run_extraction``:
+    page rows -> groupby(bucket) -> ``fn(group, **fn_kwargs)`` per bucket."""
+    return (
+        page_rows(corpus_ds, n_buckets)
+        .groupby("bucket")
+        .map_groups(fn, fn_kwargs=fn_kwargs, batch_format="pyarrow")
     )
 
 
@@ -90,8 +98,6 @@ def extract(
     corpus_ds: ray.data.Dataset,
     n_buckets: int = DEFAULT_N_BUCKETS,
     strip_boilerplate: bool = True,
-    batch_size: int = 32,
-    concurrency: Optional[Any] = None,
 ) -> ray.data.Dataset:
     """Standard two-stage extraction with the groupby reassembly shuffle.
 
@@ -104,23 +110,18 @@ def extract(
     numbers, with no page number repeated ACROSS fragments (within one
     fragment duplicates are ordered by page_order). ``extract_fused`` /
     the small branch of ``extract_hybrid`` require whole-doc rows."""
-    pages = page_rows(corpus_ds, n_buckets, batch_size, concurrency)
-    assembler = BucketAssembler(strip_boilerplate)
-
-    def assemble_bucket(group: pa.Table) -> pa.Table:
-        return assembler(group)
-
-    return pages.groupby("bucket").map_groups(assemble_bucket, batch_format="pyarrow")
+    return _per_bucket(
+        corpus_ds, n_buckets, assemble_bucket, strip_boilerplate=strip_boilerplate
+    )
 
 
 def extract_fused(
     corpus_ds: ray.data.Dataset,
     n_buckets: int = DEFAULT_N_BUCKETS,
     strip_boilerplate: bool = True,
-    batch_size: int = 16,
-    concurrency: Optional[Any] = None,
 ) -> ray.data.Dataset:
-    """No-shuffle fast path: whole-document rows processed in one stage."""
+    """No-shuffle fast path: whole-document rows rendered and assembled
+    in-process, one stage."""
 
     def fused(batch: pa.Table) -> pa.Table:
         ids = [str(d) for d in batch["doc_id"].to_pylist()]
@@ -134,26 +135,18 @@ def extract_fused(
                 "check catches adjacent fragments; use "
                 "assert_whole_doc_rows() for a corpus-wide guarantee."
             )
-        out = []
-        for doc_id, spans in zip(
-            batch["doc_id"].to_pylist(), batch["spans"].to_pylist()
-        ):
-            doc_id = str(doc_id)
-            bucket = bucket_of(doc_id, n_buckets)
-            try:
-                result = run_document(doc_id, spans or [], strip_boilerplate)
-                out.append(doc_result_to_row(result, bucket, False))
-            except Exception:
-                from pdf_parser_ray.stages.assemble_stage import _empty_result
-
-                out.append(doc_result_to_row(_empty_result(doc_id), bucket, True))
+        out = [
+            assemble_doc_rows(
+                doc_id,
+                render_doc(doc_id, spans, bucket_of(doc_id, n_buckets)),
+                strip_boilerplate,
+            )
+            for doc_id, spans in zip(ids, batch["spans"].to_pylist())
+        ]
         return pa.Table.from_pylist(out, schema=DOC_RESULT_SCHEMA)
 
-    kwargs: dict[str, Any] = {}
-    if concurrency is not None:
-        kwargs["concurrency"] = concurrency
     return corpus_ds.map_batches(
-        fused, batch_format="pyarrow", batch_size=batch_size, **kwargs
+        fused, batch_format="pyarrow", batch_size=FUSED_BATCH_DOCS
     )
 
 
@@ -223,8 +216,6 @@ def extract_hybrid(
     n_buckets: int = DEFAULT_N_BUCKETS,
     strip_boilerplate: bool = True,
     giant_span_threshold: int = 512,
-    batch_size: int = 16,
-    concurrency: Optional[Any] = None,
     strict_fragment_check: bool = False,
     on_fragments: str = "raise",
 ) -> ray.data.Dataset:
@@ -303,26 +294,15 @@ def extract_hybrid(
         only(split_by_span_count(make(), giant_span_threshold, giant=False), False),
         n_buckets,
         strip_boilerplate,
-        batch_size,
-        concurrency,
     )
     giant = extract(
         only(split_by_span_count(make(), giant_span_threshold, giant=True), False),
         n_buckets,
         strip_boilerplate,
-        batch_size,
-        concurrency,
     )
     out = small.union(giant)
     if frag_ref is not None:
-        routed = extract(
-            only(make(), True),
-            n_buckets,
-            strip_boilerplate,
-            batch_size,
-            concurrency,
-        )
-        out = out.union(routed)
+        out = out.union(extract(only(make(), True), n_buckets, strip_boilerplate))
     return out
 
 

@@ -169,19 +169,6 @@ class StagePipeline:
         return ds
 
 
-def default_extraction_pipeline(
-    n_buckets: int = 64, strip_boilerplate: bool = True
-) -> StagePipeline:
-    """The flagship as composable steps — swap/insert stages freely."""
-    from pdf_parser_ray.pipelines.extract import extract
-
-    pipe = StagePipeline()
-    pipe.add_step(
-        "extract", lambda ds: extract(ds, n_buckets, strip_boilerplate)
-    )
-    return pipe
-
-
 def quiet_data_logging_env() -> dict[str, str]:
     """Env vars that silence the worker-side per-block schema-hash warning.
 

@@ -58,7 +58,7 @@ def corpus_from_documents(
     FIXTURES.md F1's page-count distribution at sf scale. ``mult`` emits
     that many distinct copies of every document (doc_id suffixed) to scale
     total work for throughput/scaling measurement without new data."""
-    from pdf_parser_ray.synthgen import _stable_hash
+    from pdf_parser_ray.functions.hashing import fnv1a_32
 
     def lift(batch: pa.Table) -> pa.Table:
         rows = []
@@ -67,7 +67,7 @@ def corpus_from_documents(
         ):
             text = text if text is not None else ""
             if heavy_tail and text:
-                h = _stable_hash(str(doc_id))
+                h = fnv1a_32(str(doc_id))
                 repeat = 64 if h % 50 == 0 else 1 + h % 8
                 text = "\n".join([text] * repeat)
             if mult == 1:

@@ -1,6 +1,11 @@
-"""Stage 2: per-doc assembly after the groupby shuffle (``map_groups``).
+"""Stage 2: per-doc assembly, after the groupby shuffle or in-process.
 
-The pipeline groups page rows by ``bucket`` (= stable_hash(doc_id) %
+:func:`assemble_doc_rows` is the ONE per-document assembly step of every
+extraction route: :func:`assemble_bucket` applies it per doc inside a
+``map_groups`` bucket, and ``extract_fused`` calls it directly on the rows
+``render_doc`` just produced.
+
+The shuffled routes group page rows by ``bucket`` (= fnv1a_32(doc_id) %
 n_buckets) — the coarsened form of the north rule's groupby(doc_id)
 aggregate-sort shuffle: every row of a document lands in exactly one group,
 and the key cardinality stays bounded so the sort-based shuffle moves fewer,
@@ -109,38 +114,28 @@ def assemble_doc_rows(
         return doc_result_to_row(_empty_result(doc_id), bucket, True)
 
 
-class BucketAssembler:
-    """map_groups callable over bucket groups of page rows.
+def assemble_bucket(group: pa.Table, strip_boilerplate: bool = True) -> pa.Table:
+    """map_groups function over one bucket group of page rows.
 
     Memory shape: the group stays an Arrow table (compact, possibly
     memory-mapped); rows are converted to Python dicts one DOCUMENT at a
     time via sorted slices, so peak Python-heap usage is one doc's pages
     plus one result row — not the whole bucket (which at corpus scale is
     corpus_size / n_buckets)."""
-
-    def __init__(self, strip_boilerplate: bool = True):
-        self.strip_boilerplate = strip_boilerplate
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.Table.from_pylist([], schema=DOC_RESULT_SCHEMA)
-        # page_order breaks ties between duplicate page numbers the same way
-        # the oracle's stable sort over offset-ordered pages does
-        sort_keys = [("doc_id", "ascending"), ("page", "ascending")]
-        if "page_order" in group.column_names:
-            sort_keys.append(("page_order", "ascending"))
-        order = pa.compute.sort_indices(group, sort_keys=sort_keys)
-        group = group.take(order)
-        doc_ids = group["doc_id"].to_pylist()
-        out = []
-        start = 0
-        for i in range(1, len(doc_ids) + 1):
-            if i == len(doc_ids) or doc_ids[i] != doc_ids[start]:
-                rows = group.slice(start, i - start).to_pylist()
-                out.append(
-                    assemble_doc_rows(
-                        str(doc_ids[start]), rows, self.strip_boilerplate
-                    )
-                )
-                start = i
-        return pa.Table.from_pylist(out, schema=DOC_RESULT_SCHEMA)
+    if group.num_rows == 0:
+        return pa.Table.from_pylist([], schema=DOC_RESULT_SCHEMA)
+    # page_order breaks ties between duplicate page numbers the same way
+    # the oracle's stable sort over offset-ordered pages does
+    sort_keys = [("doc_id", "ascending"), ("page", "ascending")]
+    if "page_order" in group.column_names:
+        sort_keys.append(("page_order", "ascending"))
+    group = group.take(pa.compute.sort_indices(group, sort_keys=sort_keys))
+    doc_ids = group["doc_id"].to_pylist()
+    out = []
+    start = 0
+    for i in range(1, len(doc_ids) + 1):
+        if i == len(doc_ids) or doc_ids[i] != doc_ids[start]:
+            rows = group.slice(start, i - start).to_pylist()
+            out.append(assemble_doc_rows(str(doc_ids[start]), rows, strip_boilerplate))
+            start = i
+    return pa.Table.from_pylist(out, schema=DOC_RESULT_SCHEMA)

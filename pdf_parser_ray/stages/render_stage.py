@@ -1,12 +1,13 @@
-"""Stage 1: corpus rows -> rendered per-page rows (``map_batches``).
+"""Stage 1: corpus rows -> rendered per-page rows.
 
-A callable class (actor-pool stage): the warm state is the compiled regex
-banks, which Python caches at module import per worker process — the actor
-form also gives a stable place for per-actor metrics and mirrors the
-reference's warm-parser state (SURVEY.md §2.3 ST1). Per-page output rows are
-the unit the groupby(doc_id) shuffle moves, so giant documents (one corpus
-row) fan out into many small rows here — the skew tamer for multi-hundred
-page docs.
+:func:`render_doc` is the ONE per-document render step of every extraction
+route: ``extract`` and ``run_extraction`` run it through
+:func:`render_pages` (``map_batches``) ahead of the bucket shuffle, and
+``extract_fused`` calls it in-process. The warm state is the compiled regex
+banks, which Python caches at module import per worker process (SURVEY.md
+§2.3 ST1). Per-page output rows are the unit the groupby(bucket) shuffle
+moves, so giant documents (one corpus row) fan out into many small rows
+here — the skew tamer for multi-hundred page docs.
 
 All rendered strings are finalized HERE, before the Arrow block boundary
 (see doclogic.render module docstring).
@@ -20,13 +21,13 @@ import pyarrow as pa
 
 from pdf_parser_ray.doclogic import render
 from pdf_parser_ray.doclogic.pipeline import page_row_from_record
+from pdf_parser_ray.functions.hashing import fnv1a_32
 from pdf_parser_ray.schemas import PAGE_ROW_SCHEMA
-from pdf_parser_ray.synthgen import _stable_hash
 
 
 def bucket_of(doc_id: str, n_buckets: int) -> int:
     """Deterministic, process-independent partition assignment."""
-    return _stable_hash(doc_id) % n_buckets
+    return fnv1a_32(doc_id) % n_buckets
 
 
 def _empty_doc_row(doc_id: str, bucket: int, failure: bool) -> dict[str, Any]:
@@ -50,45 +51,35 @@ def _empty_doc_row(doc_id: str, bucket: int, failure: bool) -> dict[str, Any]:
     }
 
 
-def render_pages(batch: pa.Table, n_buckets: int = 64) -> pa.Table:
+def render_doc(doc_id: str, spans: Any, bucket: int) -> list[dict[str, Any]]:
+    """One document's spans -> its PAGE_ROW_SCHEMA rows.
+
+    A document without pages yields one marker row. Semantic parse failures
+    (malformed span payloads) yield one ``parse_failure`` marker row and no
+    page rows — counted in partition metrics, never a task crash (the
+    reference degrades per page the same way, extractor.py:141-148).
+    """
+    try:
+        rows = []
+        for order, page in enumerate(render.spans_to_pages(spans or [])):
+            row = page_row_from_record(page)
+            row["doc_id"] = doc_id
+            row["bucket"] = bucket
+            row["page_order"] = order
+            row["parse_failure"] = False
+            rows.append(row)
+    except Exception:
+        return [_empty_doc_row(doc_id, bucket, failure=True)]
+    return rows or [_empty_doc_row(doc_id, bucket, failure=False)]
+
+
+def render_pages(batch: pa.Table, n_buckets: int) -> pa.Table:
     """corpus (doc_id, spans) batch -> page rows batch.
 
-    Stateless (the warm regex banks live at module level, paid once per
-    worker process), so it runs as elastic tasks — no actor-pool ramp-up,
-    parallelism follows the block count. Semantic parse failures (malformed
-    span payloads) become a single ``parse_failure`` row for the document —
-    counted in partition metrics, never a task crash (the reference degrades
-    per page the same way, extractor.py:141-148).
-    """
+    Stateless, so it runs as elastic tasks — no actor-pool ramp-up,
+    parallelism follows the block count."""
     out_rows: list[dict[str, Any]] = []
-    doc_ids = batch["doc_id"].to_pylist()
-    spans_col = batch["spans"].to_pylist()
-    for doc_id, spans in zip(doc_ids, spans_col):
+    for doc_id, spans in zip(batch["doc_id"].to_pylist(), batch["spans"].to_pylist()):
         doc_id = str(doc_id)
-        bucket = bucket_of(doc_id, n_buckets)
-        try:
-            pages = render.spans_to_pages(spans or [])
-            for order, page in enumerate(pages):
-                row = page_row_from_record(page)
-                row["doc_id"] = doc_id
-                row["bucket"] = bucket
-                row["page_order"] = order
-                row["parse_failure"] = False
-                out_rows.append(row)
-            if not pages:
-                out_rows.append(_empty_doc_row(doc_id, bucket, failure=False))
-        except Exception:
-            out_rows.append(_empty_doc_row(doc_id, bucket, failure=True))
+        out_rows.extend(render_doc(doc_id, spans, bucket_of(doc_id, n_buckets)))
     return pa.Table.from_pylist(out_rows, schema=PAGE_ROW_SCHEMA)
-
-
-class PageRenderer:
-    """Actor-pool form of :func:`render_pages` — use when a deployment
-    wants fixed warm workers (e.g. models in ``__init__``); the default
-    pipeline uses the task form."""
-
-    def __init__(self, n_buckets: int = 64):
-        self.n_buckets = n_buckets
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return render_pages(batch, self.n_buckets)

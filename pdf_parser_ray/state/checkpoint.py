@@ -21,18 +21,21 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Optional
+import shutil
+from typing import Any
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
 
 from pdf_parser_ray.schemas import PARTITION_METRICS_SCHEMA
-from pdf_parser_ray.stages.assemble_stage import BucketAssembler
+from pdf_parser_ray.pipelines.extract import _per_bucket
+from pdf_parser_ray.stages.assemble_stage import assemble_bucket
 from pdf_parser_ray.stages.render_stage import bucket_of
-from pdf_parser_ray.pipelines.extract import page_rows as build_page_rows
 
 MANIFEST_DIR = "_manifest"
+# per-partition counters, summed into every run summary
+COUNTERS = ("docs_parsed", "spans_emitted", "parse_failures", "pages_processed")
 
 
 def _manifest_path(output_dir: str, bucket: int) -> str:
@@ -64,14 +67,41 @@ def completed_buckets(output_dir: str) -> set[int]:
     return out
 
 
+def write_bucket(
+    group: pa.Table, output_dir: str, strip_boilerplate: bool = True
+) -> pa.Table:
+    """``run_extraction``'s per-bucket step: assemble, write the data
+    atomically, then the manifest; returns the PARTITION_METRICS row."""
+    result = assemble_bucket(group, strip_boilerplate)
+    if result.num_rows == 0:
+        # never guess a bucket id for an empty group — writing a default
+        # would clobber a real bucket's data with an empty file
+        return pa.Table.from_pylist([], schema=PARTITION_METRICS_SCHEMA)
+    bucket = int(result["bucket"][0].as_py())
+    bucket_dir = os.path.join(output_dir, f"bucket={bucket}")
+    os.makedirs(bucket_dir, exist_ok=True)
+    tmp = os.path.join(bucket_dir, ".data.parquet.tmp")
+    pq.write_table(result, tmp)
+    os.replace(tmp, os.path.join(bucket_dir, "data.parquet"))
+    metrics = {
+        "bucket": bucket,
+        "docs_parsed": result.num_rows,
+        "spans_emitted": int(pa.compute.sum(result["n_spans"]).as_py() or 0),
+        "parse_failures": int(
+            pa.compute.sum(pa.compute.cast(result["parse_failure"], pa.int64())).as_py() or 0
+        ),
+        "pages_processed": int(pa.compute.sum(result["total_pages"]).as_py() or 0),
+    }
+    _write_json_atomic(_manifest_path(output_dir, bucket), metrics)
+    return pa.Table.from_pylist([metrics], schema=PARTITION_METRICS_SCHEMA)
+
+
 def run_extraction(
     corpus_ds: ray.data.Dataset,
     output_dir: str,
     n_buckets: int = 64,
     strip_boilerplate: bool = True,
     resume: bool = True,
-    batch_size: int = 32,
-    concurrency: Optional[Any] = None,
 ) -> dict[str, Any]:
     """Run (or resume) the flagship extraction, writing per-bucket parquet +
     manifests. Returns a summary dict with aggregate counters."""
@@ -109,46 +139,15 @@ def run_extraction(
 
         ds = ds.map_batches(drop_done, batch_format="pyarrow")
 
-    pages = build_page_rows(ds, n_buckets, batch_size, concurrency)
-    assembler = BucketAssembler(strip_boilerplate)
-
-    def write_bucket(group: pa.Table) -> pa.Table:
-        result = assembler(group)
-        if result.num_rows == 0:
-            # never guess a bucket id for an empty group — writing a default
-            # would clobber a real bucket's data with an empty file
-            return pa.Table.from_pylist([], schema=PARTITION_METRICS_SCHEMA)
-        bucket = int(result["bucket"][0].as_py())
-        bucket_dir = os.path.join(output_dir, f"bucket={bucket}")
-        os.makedirs(bucket_dir, exist_ok=True)
-        tmp = os.path.join(bucket_dir, ".data.parquet.tmp")
-        pq.write_table(result, tmp)
-        os.replace(tmp, os.path.join(bucket_dir, "data.parquet"))
-        metrics = {
-            "bucket": bucket,
-            "docs_parsed": result.num_rows,
-            "spans_emitted": int(pa.compute.sum(result["n_spans"]).as_py() or 0),
-            "parse_failures": int(
-                pa.compute.sum(pa.compute.cast(result["parse_failure"], pa.int64())).as_py() or 0
-            ),
-            "pages_processed": int(pa.compute.sum(result["total_pages"]).as_py() or 0),
-        }
-        _write_json_atomic(_manifest_path(output_dir, bucket), metrics)
-        return pa.Table.from_pylist([metrics], schema=PARTITION_METRICS_SCHEMA)
-
-    metrics_ds = pages.groupby("bucket").map_groups(
-        write_bucket, batch_format="pyarrow"
-    )
-    metrics = metrics_ds.to_pandas()  # tiny: one row per bucket
+    metrics = _per_bucket(  # tiny: one row per bucket
+        ds, n_buckets, write_bucket, output_dir=output_dir, strip_boilerplate=strip_boilerplate
+    ).to_pandas()
 
     return {
         "output_dir": output_dir,
         "buckets_completed_now": len(metrics),
         "buckets_skipped_resume": len(done),
-        "docs_parsed": int(metrics["docs_parsed"].sum()) if len(metrics) else 0,
-        "spans_emitted": int(metrics["spans_emitted"].sum()) if len(metrics) else 0,
-        "parse_failures": int(metrics["parse_failures"].sum()) if len(metrics) else 0,
-        "pages_processed": int(metrics["pages_processed"].sum()) if len(metrics) else 0,
+        **{k: int(metrics[k].sum()) if len(metrics) else 0 for k in COUNTERS},
     }
 
 
@@ -219,9 +218,8 @@ def run_extraction_sharded(
     def shard_manifest(i: int) -> str:
         return os.path.join(output_dir, MANIFEST_DIR, f"shard_{i}.json")
 
-    totals = {"docs_parsed": 0, "spans_emitted": 0, "parse_failures": 0,
-              "pages_processed": 0, "shards_completed_now": 0,
-              "shards_skipped_resume": 0}
+    totals = dict.fromkeys(COUNTERS, 0)
+    totals.update(shards_completed_now=0, shards_skipped_resume=0)
     for i, shard_files in enumerate(shards):
         if resume and os.path.exists(shard_manifest(i)):
             with open(shard_manifest(i)) as f:
@@ -244,7 +242,7 @@ def run_extraction_sharded(
 
         results = extract_fused(ds, n_buckets, strip_boilerplate)
         shard_dir = os.path.join(output_dir, f"shard={i}")
-        shutil_rmtree_quiet(shard_dir)
+        shutil.rmtree(shard_dir, ignore_errors=True)
         results.write_parquet(shard_dir)
         if os.path.isdir(shard_dir):
             stats = ray.data.read_parquet(shard_dir).aggregate(
@@ -269,10 +267,8 @@ def run_extraction_sharded(
         }
         _write_json_atomic(shard_manifest(i), manifest)
         totals["shards_completed_now"] += 1
-        totals["docs_parsed"] += manifest["docs_parsed"]
-        totals["spans_emitted"] += manifest["spans_emitted"]
-        totals["parse_failures"] += manifest["parse_failures"]
-        totals["pages_processed"] += manifest["pages_processed"]
+        for k in COUNTERS:
+            totals[k] += manifest[k]
 
     giant_ds = split_by_span_count(
         ray.data.read_parquet(sorted(input_files)), giant_span_threshold, giant=True
@@ -287,12 +283,6 @@ def run_extraction_sharded(
     totals["giant"] = giant_summary
     totals["output_dir"] = output_dir
     return totals
-
-
-def shutil_rmtree_quiet(path: str) -> None:
-    import shutil
-
-    shutil.rmtree(path, ignore_errors=True)
 
 
 def read_sharded_extraction(output_dir: str) -> ray.data.Dataset:

@@ -21,6 +21,7 @@ from typing import Any
 
 import pyarrow as pa
 
+from pdf_parser_ray.functions.hashing import fnv1a_32
 from pdf_parser_ray.schemas import CORPUS_SCHEMA
 
 _METADATA_HEADER = (
@@ -200,7 +201,7 @@ def doc_text_to_spans(doc_id: str, text: str) -> dict[str, Any]:
     lines = [
         text[i : i + CHARS_PER_LINE] for i in range(0, len(text), CHARS_PER_LINE)
     ] or [""]
-    h = _stable_hash(doc_id)
+    h = fnv1a_32(doc_id)
     spans: list[dict[str, Any]] = []
     n_pages = (len(lines) + LINES_PER_PAGE - 1) // LINES_PER_PAGE
     for page_num in range(1, n_pages + 1):
@@ -224,11 +225,3 @@ def doc_text_to_spans(doc_id: str, text: str) -> dict[str, Any]:
         span["offset"] = offset
     return {"doc_id": str(doc_id), "spans": spans}
 
-
-def _stable_hash(s: str) -> int:
-    """Deterministic non-cryptographic string hash (process-independent,
-    unlike builtin hash())."""
-    h = 2166136261
-    for ch in str(s):
-        h = ((h ^ ord(ch)) * 16777619) & 0xFFFFFFFF
-    return h

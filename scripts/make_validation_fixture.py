@@ -73,8 +73,10 @@ def summarize(sf_dir: str) -> dict:
         try:
             stats = run_document(doc_id, spans or [], True)["stats"]
         except Exception:
-            # extract_fused's failure law: a zeroed row with
-            # parse_failure=True still counts toward n_docs
+            # the extraction's failure law (stages.render_doc and
+            # stages.assemble_doc_rows): a doc whose render or assembly
+            # raises becomes a zeroed parse_failure=True row that still
+            # counts toward n_docs
             parse_failures += 1
             continue
         for k in _SUM_KEYS:

@@ -4,12 +4,14 @@
   the Ray pipeline and the single-process oracle
 - scale invariance: parallelism 1 vs 4 produce identical sorted output
 - fused (no-shuffle) path equals the standard shuffle path
+- all five extraction routes give identical DOC_RESULT rows
 - checkpointed run resumes by skipping completed buckets
 """
 
 import os
 import shutil
 
+import pyarrow as pa
 import pytest
 import ray.data
 
@@ -42,6 +44,63 @@ def oracle(corpus_table):
         r["doc_id"]: run_document(r["doc_id"], r["spans"])
         for r in corpus_table.to_pylist()
     }
+
+
+def test_bucket_of_pinned():
+    """Bucket ids of fixed doc_ids never change, so checkpoint directories
+    written by earlier runs stay resumable."""
+    from pdf_parser_ray.functions.hashing import fnv1a_32
+    from pdf_parser_ray.stages.render_stage import bucket_of
+
+    assert fnv1a_32("doc-0") == 1494172424
+    assert fnv1a_32("") == 2166136261
+    pinned = {"doc-0": (8, 0), "doc-00017": (36, 4), "usb_pd_spec": (52, 4),
+              "bench-giant-doc": (26, 2), "42": (3, 3), "é文": (57, 1)}
+    for doc_id, buckets in pinned.items():
+        assert (bucket_of(doc_id, 64), bucket_of(doc_id, 8)) == buckets, doc_id
+
+
+def test_all_routes_equal(ray_session, tmp_path):
+    """Every route gives the same DOC_RESULT rows — all columns, one
+    n_buckets — including null, empty and malformed span payloads."""
+    from pdf_parser_ray.pipelines import extract_hybrid
+    from pdf_parser_ray.schemas import CORPUS_SCHEMA, DOC_RESULT_SCHEMA
+
+    rows = generate_corpus(N_DOCS).to_pylist() + [
+        {"doc_id": "null-spans", "spans": None},
+        {"doc_id": "empty-spans", "spans": []},
+        # a null offset next to an int one cannot be sorted: render raises
+        {"doc_id": "bad-offsets", "spans": [
+            {"kind": "text", "text": "a", "media_ref": "", "offset": None},
+            {"kind": "text", "text": "b", "media_ref": "", "offset": 1},
+        ]},
+    ]
+    table = pa.Table.from_pylist(rows, schema=CORPUS_SCHEMA)
+    n_spans = [len(r["spans"] or []) for r in rows]
+    assert min(n_spans) <= 60 < max(n_spans)  # both hybrid branches run
+
+    def make():
+        return ray.data.from_arrow(table).repartition(4)
+
+    def by_doc(ds):
+        return sorted(ds.take_all(), key=lambda r: r["doc_id"])
+
+    out = str(tmp_path / "ckpt")
+    run_extraction(make(), out, n_buckets=8)
+    want = by_doc(extract(make(), n_buckets=8))
+    assert len(want) == len(rows)
+    failed = {r["doc_id"] for r in want if r["parse_failure"]}
+    assert failed == {"bad-offsets"}
+    routes = {
+        "extract_fused": extract_fused(make(), n_buckets=8),
+        "hybrid_split": extract_hybrid(make, n_buckets=8, giant_span_threshold=60),
+        "hybrid_route": extract_hybrid(make, n_buckets=8, on_fragments="route"),
+        "run_extraction": read_extraction(out),
+    }
+    for name, ds in routes.items():
+        got = by_doc(ds)
+        for col in DOC_RESULT_SCHEMA.names:
+            assert [r[col] for r in got] == [r[col] for r in want], (name, col)
 
 
 def test_span_sequence_equality_vs_oracle(ray_session, corpus_table, oracle):

@@ -121,15 +121,6 @@ def test_stage_pipeline(ray_session):
         pipe.run(ds, fail_fast=True)
 
 
-def test_default_extraction_pipeline(ray_session):
-    from pdf_parser_ray.pipelines.steps import default_extraction_pipeline
-    from pdf_parser_ray.synthgen import generate_corpus
-
-    pipe = default_extraction_pipeline(n_buckets=4)
-    out = pipe.run(ray.data.from_arrow(generate_corpus(5)))
-    assert out.count() == 5 and not pipe.errors
-
-
 def test_run_reference_pipeline(ray_session, tmp_path):
     import os
 
