@@ -42,6 +42,12 @@ def _normalize_terms(query_terms: list[str]) -> list[str]:
     return list(dict.fromkeys(t.lower() for t in query_terms))
 
 
+def _column_type(ds: ray.data.Dataset, col: str) -> pa.DataType:
+    # ds.schema() is Ray's wrapper (names/types lists), not pyarrow's
+    schema = ds.schema()
+    return schema.types[schema.names.index(col)]
+
+
 def _sql_str(term: str) -> str:
     """A term as a single-quoted SQL literal — embedded quotes double
     (tokens under the \\S+ law can legally contain an apostrophe)."""
@@ -76,10 +82,8 @@ def bm25_top_docs(
         raise ValueError("bm25_top_docs needs at least one query term")
 
     # capture the id type BEFORE any transform: a fully-empty dataset's
-    # schema() is None after map_batches (Ray 2.49 schema-less blocks).
-    # ds.schema() is Ray's wrapper (names/types lists), not pyarrow's.
-    _schema = ds.schema()
-    id_type = _schema.types[_schema.names.index(id_col)]
+    # schema() is None after map_batches (Ray 2.49 schema-less blocks)
+    id_type = _column_type(ds, id_col)
 
     ds = ds.select_columns([id_col, text_col]).map_batches(
         lambda t: t.filter(pc.is_valid(t[id_col])), batch_format="pyarrow"
@@ -292,8 +296,7 @@ def build_text_index(
     import os
     import shutil
 
-    _schema = ds.schema()
-    id_type = _schema.types[_schema.names.index(id_col)]
+    id_type = _column_type(ds, id_col)
     # size probe on the RAW input: for a parquet read this is metadata;
     # after any transform it would execute the pipeline just to ask
     try:
@@ -1083,6 +1086,11 @@ def rrf_search(
     every engine where a nullable BIGINT reaches pandas as float (the
     dedup_events -1-sentinel rationale).
 
+    Id type: int64 when both id columns are integers, else string (a
+    mixed int/str pair joins on the ids' str form). Each pool ranks on
+    its own column's native order; the final cut's id tie-break is in
+    the output type.
+
     Scale shape: both pools are bounded (``pool`` rows) driver merges;
     the lexical side runs the no-corpus-shuffle BM25 two-pass, the
     vector side the broadcast-query per-batch top-k — nothing here
@@ -1091,6 +1099,13 @@ def rrf_search(
     from concurrent.futures import ThreadPoolExecutor
 
     from pdf_parser_ray.ops.similarity import knn_bruteforce
+
+    # the output id type comes from the input schemas, never from the
+    # pool rows (empty pools would make a string corpus's ids int64)
+    id_types = (_column_type(docs_ds, id_col), _column_type(emb_ds, vec_id_col))
+    integer_ids = all(pa.types.is_integer(t) for t in id_types)
+    out_id_t = pa.int64() if integer_ids else pa.string()
+    id_py_type = int if integer_ids else str
 
     # the two pools share no data dependency (contrast hybrid_search,
     # whose embedding scan filters on the pool ids) — drive both corpus
@@ -1111,20 +1126,17 @@ def rrf_search(
         )
         lex_rows, vec_rows = lex_f.result(), vec_f.result()
 
-    id_vals = [r[id_col] for r in lex_rows] + [r[vec_id_col] for r in vec_rows]
-    id_py_type = int if all(
-        isinstance(v, (int, np.integer)) for v in id_vals
-    ) else str
-    out_id_t = pa.int64() if id_py_type is int else pa.string()
-
     # ranks from the already-deterministic orders, re-derived explicitly
-    # so a future upstream reordering can't silently shift them. Kept as
-    # ROWS, never an id->rank dict: a corpus with duplicate ids puts the
-    # same id in a pool at two ranks, and the oracle's ROW_NUMBER + FULL
-    # OUTER JOIN fans those out to one fused row per rank PAIR — a
-    # pandas outer merge has exactly that per-id cartesian semantics
-    lex_rows.sort(key=lambda r: (-r["score"], id_py_type(r[id_col])))
-    vec_rows.sort(key=lambda r: (-r["cosine"], id_py_type(r[vec_id_col])))
+    # so a future upstream reordering can't silently shift them — on each
+    # side's NATIVE id values (ints tie-break 2 < 10, as bm25_top_docs,
+    # knn_bruteforce and ROW_NUMBER do), before any cast to the output
+    # type. Kept as ROWS, never an id->rank dict: a corpus with duplicate
+    # ids puts the same id in a pool at two ranks, and the oracle's
+    # ROW_NUMBER + FULL OUTER JOIN fans those out to one fused row per
+    # rank PAIR — a pandas outer merge has exactly that per-id cartesian
+    # semantics
+    lex_rows.sort(key=lambda r: (-r["score"], r[id_col]))
+    vec_rows.sort(key=lambda r: (-r["cosine"], r[vec_id_col]))
     bmr = pd.DataFrame(
         {
             "_id": [id_py_type(r[id_col]) for r in lex_rows],

@@ -44,6 +44,14 @@ FUSED_BATCH_DOCS = 16
 RENDER_BATCH_DOCS = 32
 
 
+def _span_counts(batch: pa.Table) -> pa.Array:
+    """Spans per corpus row — the size-class measure. fill_null: a null
+    ``spans`` cell counts 0 and lands in the small class (producing an
+    empty/failure row downstream) rather than vanishing from both —
+    Table.filter drops null-mask rows."""
+    return pa.compute.list_value_length(batch["spans"]).fill_null(0)
+
+
 def split_by_span_count(
     ds: ray.data.Dataset, threshold: int, giant: bool
 ) -> ray.data.Dataset:
@@ -52,10 +60,7 @@ def split_by_span_count(
     (``giant=True``) / at-or-below the threshold."""
 
     def keep(batch: pa.Table) -> pa.Table:
-        # fill_null: a null `spans` cell must land in the small branch (and
-        # produce an empty/failure row downstream), not vanish from both —
-        # Table.filter drops null-mask rows.
-        n = pa.compute.list_value_length(batch["spans"]).fill_null(0)
+        n = _span_counts(batch)
         mask = (
             pa.compute.greater(n, threshold)
             if giant
@@ -211,6 +216,25 @@ def assert_whole_doc_rows(ds: ray.data.Dataset, id_col: str = "doc_id") -> None:
         )
 
 
+def _size_census(ds: ray.data.Dataset, threshold: int) -> tuple[int, int]:
+    """(rows above ``threshold`` spans, rows at or below it) in one pass —
+    the split_by_span_count law, counted instead of filtered."""
+
+    def count(batch: pa.Table) -> pa.Table:
+        giant = pa.compute.sum(pa.compute.greater(_span_counts(batch), threshold))
+        return pa.table(
+            {"giant": [giant.as_py() or 0], "rows": [batch.num_rows]}
+        )
+
+    parts = (
+        ds.select_columns(["spans"])
+        .map_batches(count, batch_format="pyarrow")
+        .take_all()  # one row per batch
+    )
+    giant = sum(r["giant"] for r in parts)
+    return giant, sum(r["rows"] for r in parts) - giant
+
+
 def extract_hybrid(
     corpus_factory,
     n_buckets: int = DEFAULT_N_BUCKETS,
@@ -229,10 +253,19 @@ def extract_hybrid(
     the same reason the reference's PageManager dict (page_manager.py:20-27)
     never leaves one process for a single document.
 
+    The plan holds only the size classes the corpus holds. One census pass
+    over the span counts (run eagerly, when this is called) counts the rows
+    on each side of the threshold, and only non-empty branches are built:
+    a corpus without giants is ``extract_fused`` alone — no Sort, no union
+    — and one of only giants is ``extract`` alone. Only when both classes
+    hold rows is each branch a size-filtered read of the source, and the
+    two are unioned. The census is one more scan of the source: on a
+    4-CPU VM it cost a 600-doc corpus with 6% giants about 11% of its
+    wall time, and saved a 7,200-doc corpus without giants about a third.
+
     ``corpus_factory``: a zero-arg callable returning a fresh corpus
-    Dataset (each branch re-reads the source — two cheap columnar scans
-    beat one full shuffle), or a Dataset (branched lazily; its upstream
-    executes once per branch).
+    Dataset (the census and each branch re-read the source), or a Dataset
+    (branched lazily; its upstream executes once per pass).
 
     REQUIRES whole-document rows: the size filter classifies per ROW, so a
     document fragmented across corpus rows would have its fragments
@@ -276,6 +309,10 @@ def extract_hybrid(
     elif strict_fragment_check:
         assert_whole_doc_rows(make())
 
+    # fragment rows count too: a class holding only fragments builds a
+    # branch that yields no rows, never drops one that holds whole docs
+    n_giant, n_small = _size_census(make(), giant_span_threshold)
+
     def only(ds: ray.data.Dataset, fragmented: bool) -> ray.data.Dataset:
         if frag_ref is None:
             return ds
@@ -290,20 +327,22 @@ def extract_hybrid(
 
         return ds.map_batches(f, batch_format="pyarrow")
 
-    small = extract_fused(
-        only(split_by_span_count(make(), giant_span_threshold, giant=False), False),
-        n_buckets,
-        strip_boilerplate,
-    )
-    giant = extract(
-        only(split_by_span_count(make(), giant_span_threshold, giant=True), False),
-        n_buckets,
-        strip_boilerplate,
-    )
-    out = small.union(giant)
+    def whole_rows(giant: bool) -> ray.data.Dataset:
+        ds = make()
+        if n_giant and n_small:
+            ds = split_by_span_count(ds, giant_span_threshold, giant)
+        return only(ds, False)
+
+    branches = []
+    if n_small:
+        branches.append(extract_fused(whole_rows(False), n_buckets, strip_boilerplate))
+    if n_giant:
+        branches.append(extract(whole_rows(True), n_buckets, strip_boilerplate))
     if frag_ref is not None:
-        out = out.union(extract(only(make(), True), n_buckets, strip_boilerplate))
-    return out
+        branches.append(extract(only(make(), True), n_buckets, strip_boilerplate))
+    if not branches:  # an empty corpus
+        branches.append(extract_fused(make(), n_buckets, strip_boilerplate))
+    return branches[0].union(*branches[1:]) if len(branches) > 1 else branches[0]
 
 
 # ---- projections to the reference's logical output tables -----------------

@@ -4,7 +4,8 @@
   the Ray pipeline and the single-process oracle
 - scale invariance: parallelism 1 vs 4 produce identical sorted output
 - fused (no-shuffle) path equals the standard shuffle path
-- all five extraction routes give identical DOC_RESULT rows
+- every extraction route gives identical DOC_RESULT rows, also under the
+  engine's own DataContext, and a corpus without giants plans no shuffle
 - checkpointed run resumes by skipping completed buckets
 """
 
@@ -60,11 +61,10 @@ def test_bucket_of_pinned():
         assert (bucket_of(doc_id, 64), bucket_of(doc_id, 8)) == buckets, doc_id
 
 
-def test_all_routes_equal(ray_session, tmp_path):
-    """Every route gives the same DOC_RESULT rows — all columns, one
-    n_buckets — including null, empty and malformed span payloads."""
-    from pdf_parser_ray.pipelines import extract_hybrid
-    from pdf_parser_ray.schemas import CORPUS_SCHEMA, DOC_RESULT_SCHEMA
+def _route_corpus():
+    """generate_corpus(N_DOCS) plus a null-spans doc, an empty-spans doc and
+    one malformed doc, as a CORPUS_SCHEMA table, and its span counts."""
+    from pdf_parser_ray.schemas import CORPUS_SCHEMA
 
     rows = generate_corpus(N_DOCS).to_pylist() + [
         {"doc_id": "null-spans", "spans": None},
@@ -78,29 +78,149 @@ def test_all_routes_equal(ray_session, tmp_path):
     table = pa.Table.from_pylist(rows, schema=CORPUS_SCHEMA)
     n_spans = [len(r["spans"] or []) for r in rows]
     assert min(n_spans) <= 60 < max(n_spans)  # both hybrid branches run
+    return table, n_spans
+
+
+def _by_doc(ds):
+    return sorted(ds.take_all(), key=lambda r: r["doc_id"])
+
+
+def _assert_rows_equal(routes, want):
+    from pdf_parser_ray.schemas import DOC_RESULT_SCHEMA
+
+    for name, ds in routes.items():
+        got = _by_doc(ds)
+        for col in DOC_RESULT_SCHEMA.names:
+            assert [r[col] for r in got] == [r[col] for r in want], (name, col)
+
+
+def test_all_routes_equal(ray_session, tmp_path):
+    """Every route gives the same DOC_RESULT rows — all columns, one
+    n_buckets — including null, empty and malformed span payloads."""
+    from pdf_parser_ray.pipelines import extract_hybrid
+
+    table, n_spans = _route_corpus()
 
     def make():
         return ray.data.from_arrow(table).repartition(4)
 
-    def by_doc(ds):
-        return sorted(ds.take_all(), key=lambda r: r["doc_id"])
-
     out = str(tmp_path / "ckpt")
     run_extraction(make(), out, n_buckets=8)
-    want = by_doc(extract(make(), n_buckets=8))
-    assert len(want) == len(rows)
+    want = _by_doc(extract(make(), n_buckets=8))
+    assert len(want) == table.num_rows
     failed = {r["doc_id"] for r in want if r["parse_failure"]}
     assert failed == {"bad-offsets"}
     routes = {
         "extract_fused": extract_fused(make(), n_buckets=8),
         "hybrid_split": extract_hybrid(make, n_buckets=8, giant_span_threshold=60),
         "hybrid_route": extract_hybrid(make, n_buckets=8, on_fragments="route"),
+        # above the corpus maximum: the census plans the fused branch alone
+        "hybrid_no_giant": extract_hybrid(
+            make, n_buckets=8, giant_span_threshold=max(n_spans) + 1
+        ),
+        # every non-empty doc is a giant; null and empty spans stay small
+        "hybrid_giant_t0": extract_hybrid(
+            make, n_buckets=8, giant_span_threshold=0
+        ),
+        # every row is a giant, null and empty spans too: extract() alone
+        "hybrid_all_giant": extract_hybrid(
+            make, n_buckets=8, giant_span_threshold=-1
+        ),
         "run_extraction": read_extraction(out),
     }
-    for name, ds in routes.items():
-        got = by_doc(ds)
-        for col in DOC_RESULT_SCHEMA.names:
-            assert [r[col] for r in got] == [r[col] for r in want], (name, col)
+    _assert_rows_equal(routes, want)
+
+
+def test_hybrid_plans_only_nonempty_branches(ray_session):
+    """A corpus without giants runs extract_fused alone: the executed plan
+    has no Sort (the reassembly shuffle) and no Union."""
+    from pdf_parser_ray.pipelines import extract_hybrid
+
+    table, n_spans = _route_corpus()
+    ds = extract_hybrid(
+        lambda: ray.data.from_arrow(table),
+        n_buckets=8,
+        giant_span_threshold=max(n_spans) + 1,
+    ).materialize()
+    assert ds.count() == table.num_rows
+    stats = ds.stats()
+    assert "Sort" not in stats and "Union" not in stats, stats
+
+
+@pytest.fixture
+def engine_context(ray_session):
+    """The DataContext that configure_context() sets, restored afterwards
+    so the rest of the suite keeps the test session's own context."""
+    from ray.data import DataContext
+
+    from pdf_parser_ray.pipelines.steps import configure_context
+
+    ctx = DataContext.get_current()
+    saved = (
+        ctx.enable_progress_bars,
+        ctx.op_resource_reservation_enabled,
+        ctx.execution_options.preserve_order,
+        ctx.shuffle_strategy,
+        ctx.target_max_block_size,
+    )
+    yield configure_context()
+    (
+        ctx.enable_progress_bars,
+        ctx.op_resource_reservation_enabled,
+        ctx.execution_options.preserve_order,
+        ctx.shuffle_strategy,
+        ctx.target_max_block_size,
+    ) = saved
+
+
+def _within(seconds, fn):
+    """fn() on a daemon thread; fail instead of hanging the suite."""
+    import threading
+
+    box = {}
+
+    def run():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # re-raised on the test thread
+            box["error"] = exc
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(seconds)
+    assert not t.is_alive(), f"no result within {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def test_routes_equal_under_engine_context(engine_context, tmp_path):
+    """The engine's own context (reservation off, push shuffle) neither
+    hangs nor changes rows: the two-branch hybrid union and the
+    checkpointed groupby plan both equal extract()."""
+    from pdf_parser_ray.pipelines import extract_hybrid
+
+    assert engine_context.op_resource_reservation_enabled is False
+    table, _ = _route_corpus()
+
+    def make():
+        return ray.data.from_arrow(table).repartition(4)
+
+    def run():
+        out = str(tmp_path / "ckpt")
+        run_extraction(make(), out, n_buckets=8)
+        want = _by_doc(extract(make(), n_buckets=8))
+        _assert_rows_equal(
+            {
+                "hybrid_split": extract_hybrid(
+                    make, n_buckets=8, giant_span_threshold=60
+                ),
+                "run_extraction": read_extraction(out),
+            },
+            want,
+        )
+
+    _within(300, run)
 
 
 def test_span_sequence_equality_vs_oracle(ray_session, corpus_table, oracle):

@@ -636,3 +636,59 @@ def test_rrf_search_duplicate_ids_fan_out(ray_session):
     assert out["bm25_rank"].tolist() == [1, 2]
     assert out["cos_rank"].tolist() == [1, 1]
     assert out["rrf_score"].tolist() == [S // 61 + S // 61, S // 62 + S // 61]
+
+
+def test_rrf_search_empty_pools_keep_string_ids(ray_session):
+    """No lexical match and no embeddings: the id column keeps the
+    corpus's string type instead of defaulting to int64."""
+    from pdf_parser_ray.ops.retrieval import rrf_search
+
+    docs = ray.data.from_arrow(
+        pa.table({"doc_id": pa.array(["a", "b"]), "text": ["banana", "cherry"]})
+    )
+    emb = ray.data.from_arrow(
+        pa.table(
+            {
+                "vec_id": pa.array([], pa.string()),
+                "embedding": pa.array([], pa.list_(pa.float32())),
+            }
+        )
+    )
+    out = rrf_search(docs, emb, ["apple"], [1.0, 0.0])
+    assert out.count() == 0
+    assert out.schema().base_schema.field("doc_id").type == pa.string()
+
+
+def test_rrf_search_mixed_id_types_tie_break(ray_session):
+    """int doc_ids and string vec_ids: each pool ranks on its native id
+    order (int 2 before 10, string "20" before "3"); fused ties cut on
+    the string output id."""
+    from pdf_parser_ray.ops.retrieval import rrf_search
+
+    docs = ray.data.from_arrow(
+        pa.table(
+            {
+                "doc_id": pa.array([10, 2], pa.int64()),
+                "text": ["apple", "apple"],  # tied BM25 scores
+            }
+        )
+    )
+    emb = ray.data.from_arrow(
+        pa.table(
+            {
+                "vec_id": pa.array(["3", "20"]),
+                "embedding": pa.array(  # tied cosines
+                    [[1.0, 0.0], [1.0, 0.0]], pa.list_(pa.float32())
+                ),
+            }
+        )
+    )
+    out = rrf_search(docs, emb, ["apple"], [1.0, 0.0], k=10, pool=5)
+    S = 1_000_000_000
+    assert out.schema().base_schema.field("doc_id").type == pa.string()
+    assert [tuple(r.values()) for r in out.take_all()] == [
+        ("2", 1, 0, S // 61),
+        ("20", 0, 1, S // 61),
+        ("10", 2, 0, S // 62),
+        ("3", 0, 2, S // 62),
+    ]
