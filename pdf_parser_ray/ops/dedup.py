@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import glob
 import hashlib
-import json
 import os
-import shutil
 from typing import Optional
 
 import numpy as np
@@ -1264,10 +1262,6 @@ def _dedup_with_candidates(
 # ---- resumable (incremental) MinHash dedup ---------------------------------
 
 
-def _band_store_key(path: str) -> str:
-    return hashlib.md5(os.path.abspath(path).encode()).hexdigest()[:16]
-
-
 def update_band_store(
     files: list[str],
     store_dir: str,
@@ -1277,139 +1271,37 @@ def update_band_store(
 ) -> dict:
     """Incrementally persist per-input-file MinHash band tables.
 
-    Each corpus fragment (input parquet file) gets its own band-table
-    partition under ``store_dir/bands/<key>/`` plus an atomic manifest
-    recording the fragment's (size, mtime) and the MinHash parameters. A
-    re-run — after a kill, or with new fragments appended to the corpus —
-    only hashes fragments whose manifest is missing or stale; everything
-    else is read back from the store. Changing any MinHash parameter
-    invalidates every manifest (the signature no longer matches).
+    A client of :mod:`pdf_parser_ray.state.fragments`, which owns the
+    resume mechanics (lock, per-file signature and stale set, pruning,
+    chunked staging, rename-then-manifest). Each fragment's band rows
+    live under ``store_dir/bands/<key>/``; the MinHash parameters are part
+    of the signature, so changing any of them re-hashes every fragment.
+    A re-run — after a kill, or with fragments appended — hashes only the
+    fragments the store has not seen; the rest are read back.
 
-    One store serves ONE corpus: fragments whose key is not in the current
-    file list are pruned (their documents are no longer part of the corpus,
-    and ghost band rows would otherwise generate dead candidate pairs on
-    every run and grow the store without bound).
+    One store serves ONE corpus: fragments not in ``files`` are pruned
+    (ghost band rows would generate dead candidate pairs on every run and
+    grow the store without bound).
 
     Returns {"files_total", "files_hashed_now", "files_skipped_resume"}.
     """
-    from pdf_parser_ray.state.checkpoint import _write_json_atomic
+    from pdf_parser_ray.state.fragments import open_store
 
-    os.makedirs(os.path.join(store_dir, "bands"), exist_ok=True)
-    os.makedirs(os.path.join(store_dir, "_manifest"), exist_ok=True)
-    # exclusive advisory lock for the whole prune+hash+manifest sequence:
-    # two concurrent runs against one store would otherwise interleave a
-    # prune/write with the other's manifest check and read half-written
-    # band tables. (A reader racing a LATER update is the caller's
-    # serialization concern, same contract as the IVF index build.)
-    import fcntl
-
-    with open(os.path.join(store_dir, ".lock"), "w") as lock_f:
-        fcntl.flock(lock_f, fcntl.LOCK_EX)
-        try:
-            return _update_band_store_locked(
-                files, store_dir, num_perm, band_size, shingle_size,
-                _write_json_atomic,
-            )
-        finally:
-            fcntl.flock(lock_f, fcntl.LOCK_UN)
-
-
-def _update_band_store_locked(
-    files: list[str],
-    store_dir: str,
-    num_perm: int,
-    band_size: int,
-    shingle_size: int,
-    _write_json_atomic,
-) -> dict:
-    live_keys = {_band_store_key(p) for p in files}
-    for man in glob.glob(os.path.join(store_dir, "_manifest", "*.json")):
-        key = os.path.splitext(os.path.basename(man))[0]
-        if key not in live_keys:
-            os.remove(man)
-            shutil.rmtree(os.path.join(store_dir, "bands", key), ignore_errors=True)
-    # ALSO prune orphan band dirs (a crash in the write-bands-then-manifest
-    # window leaves a dir with no manifest; read_band_store globs bands/*)
-    for band_dir in glob.glob(os.path.join(store_dir, "bands", "*")):
-        if os.path.basename(band_dir) not in live_keys:
-            shutil.rmtree(band_dir, ignore_errors=True)
-    stats = {
-        "files_total": len(files),
-        "files_hashed_now": 0,
-        "files_skipped_resume": 0,
-    }
-    stale: list[tuple[str, str, dict, str]] = []
-    for path in files:
-        st = os.stat(path)
-        sig = {
-            "path": os.path.abspath(path),
-            "size": st.st_size,
-            # nanosecond mtime: a same-size rewrite within the same second
-            # must not be mistaken for the already-hashed fragment
-            "mtime_ns": st.st_mtime_ns,
-            "num_perm": num_perm,
-            "band_size": band_size,
-            "shingle_size": shingle_size,
-        }
-        key = _band_store_key(path)
-        manifest = os.path.join(store_dir, "_manifest", f"{key}.json")
-        if os.path.exists(manifest):
-            with open(manifest) as f:
-                if json.load(f) == sig:
-                    stats["files_skipped_resume"] += 1
-                    continue
-        stale.append((path, key, sig, manifest))
-
-    # hash stale fragments in CHUNKED UNION pipelines, not one driver
-    # round-trip per fragment: the streaming executor runs every branch of
-    # a union concurrently, so a 10k-fragment cold start is ~10k/chunk
-    # executions instead of 10k sequential ones. Each chunk writes to a
-    # hive-partitioned staging dir, then fragments rename into the store
-    # layout one by one with their manifest written AFTER the rename —
-    # crash granularity stays per-fragment (a renamed dir without a
-    # manifest is recomputed; a leftover staging dir is removed here).
-    chunk_size = 16  # bounds concurrent actor pools per execution
-    staging = os.path.join(store_dir, "_staging")
-    # unconditional: a crash after the last chunk's manifests were written
-    # but before its trailing cleanup leaves a stale staging dir that a
-    # fully-resumed run (empty `stale`) would otherwise never remove
-    shutil.rmtree(staging, ignore_errors=True)
-    for i in range(0, len(stale), chunk_size):
-        chunk = stale[i : i + chunk_size]
-        shutil.rmtree(staging, ignore_errors=True)
-        branches = []
-        for path, key, _, _ in chunk:
-            bands = minhash_band_rows(
+    params = {"num_perm": num_perm, "band_size": band_size, "shingle_size": shingle_size}
+    with open_store(store_dir, "bands/{key}", files, params) as store:
+        store.commit(
+            lambda path: minhash_band_rows(
                 ray.data.read_parquet(path, columns=["doc_id", "text"]),
                 num_perm,
                 band_size,
                 shingle_size,
             )
-            branches.append(
-                bands.map_batches(
-                    lambda t, _k=key: t.append_column(
-                        "fragment", pa.array([_k] * t.num_rows, pa.string())
-                    ),
-                    batch_format="pyarrow",
-                )
-            )
-        ds = branches[0]
-        for b in branches[1:]:
-            ds = ds.union(b)
-        ds.write_parquet(staging, partition_cols=["fragment"])
-        for path, key, sig, manifest in chunk:
-            out = os.path.join(store_dir, "bands", key)
-            shutil.rmtree(out, ignore_errors=True)
-            staged = os.path.join(staging, f"fragment={key}")
-            if os.path.isdir(staged):
-                os.rename(staged, out)  # same filesystem: atomic move
-            # an empty fragment emits no partition dir — no data to move,
-            # the manifest alone records it as hashed (read_band_store
-            # globs files, so absence contributes nothing)
-            _write_json_atomic(manifest, sig)  # manifest last
-            stats["files_hashed_now"] += 1
-        shutil.rmtree(staging, ignore_errors=True)
-    return stats
+        )
+    return {
+        "files_total": len(store.files),
+        "files_hashed_now": len(store.stale),
+        "files_skipped_resume": store.n_resumed,
+    }
 
 
 def read_band_store(store_dir: str) -> ray.data.Dataset:

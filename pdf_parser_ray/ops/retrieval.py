@@ -292,9 +292,10 @@ def build_text_index(
 
     Null-id docs are dropped (they cannot be ranked — same law as
     :func:`bm25_top_docs`). Returns the meta dict."""
-    import json
     import os
     import shutil
+
+    from pdf_parser_ray.state.fragments import write_json_atomic
 
     id_type = _column_type(ds, id_col)
     # size probe on the RAW input: for a parquet read this is metadata;
@@ -327,27 +328,32 @@ def build_text_index(
     # fold the corpus totals into meta at BUILD time (one tiny pruned read
     # of the stats partition) so a served query pays zero executions for
     # N / avgdl — build is the once-per-corpus place to spend this
-    import glob as _glob
-
-    import pyarrow.parquet as pq
-
-    n_docs = 0
-    dl_total = 0
-    for f in _glob.glob(os.path.join(post_dir, f"bucket={n_buckets}", "*.parquet")):
-        t = pq.read_table(f, columns=["tf", "dl"])
-        n_docs += int(pc.sum(t["tf"]).as_py() or 0)
-        dl_total += int(pc.sum(t["dl"]).as_py() or 0)
     meta = {
         "n_buckets": int(n_buckets),
         "id_col": id_col,
         "text_col": text_col,
         "id_type": str(id_type),
-        "n_docs": n_docs,
-        "dl_total": dl_total,
+        **_stats_totals(post_dir, n_buckets),
     }
-    with open(os.path.join(index_dir, "meta.json"), "w") as f:
-        json.dump(meta, f)
+    write_json_atomic(os.path.join(index_dir, "meta.json"), meta)
     return meta
+
+
+def _stats_totals(post_dir: str, n_buckets: int) -> dict:
+    """(n_docs, dl_total) summed over the stats partition under
+    ``post_dir`` (absent: an empty corpus or fragment, both 0)."""
+    import glob
+    import os
+
+    import pyarrow.parquet as pq
+
+    n_docs = 0
+    dl_total = 0
+    for f in glob.glob(os.path.join(post_dir, f"bucket={n_buckets}", "*.parquet")):
+        t = pq.read_table(f, columns=["tf", "dl"])
+        n_docs += int(pc.sum(t["tf"]).as_py() or 0)
+        dl_total += int(pc.sum(t["dl"]).as_py() or 0)
+    return {"n_docs": n_docs, "dl_total": dl_total}
 
 
 def _term_bucket_files(index_dir: str, terms: list[str]) -> list[str]:
@@ -727,227 +733,106 @@ def update_text_index(
     n_buckets: int = 64,
     text_col: str = "text",
     id_col: str = "doc_id",
-    chunk_size: int = 16,
 ) -> dict:
-    """Incrementally maintain a text index over a FRAGMENTED corpus — the
-    retrieval sibling of ops.dedup.update_band_store, same mechanics:
+    """Incrementally maintain a text index over a FRAGMENTED corpus.
 
-    * each corpus fragment (input parquet file) owns a partition
-      ``postings/frag=<key>/bucket=<b>/`` plus an atomic manifest keyed by
-      (path, size, mtime_ns, index params). A re-run — after a kill, or
-      with fragments appended — only indexes fragments whose manifest is
-      missing or stale; fragments no longer in ``files`` are pruned
-      (ghost postings would inflate df and N forever).
-    * stale fragments are indexed in CHUNKED UNION pipelines (the
-      streaming executor runs union branches concurrently) writing a
-      hive-partitioned staging dir, then per-fragment rename + manifest
-      LAST — crash granularity stays per fragment.
+    A client of :mod:`pdf_parser_ray.state.fragments`, which owns the
+    resume mechanics (lock, per-file signature and stale set, pruning,
+    chunked staging, rename-then-manifest). Each corpus fragment (input
+    parquet file) owns a partition ``postings/frag=<key>/bucket=<b>/``;
+    the index parameters are part of the signature, so changing one
+    re-indexes every fragment. A re-run — after a kill, or with fragments
+    appended — indexes only the fragments the store has not seen, and
+    fragments no longer in ``files`` are pruned (ghost postings would
+    inflate df and N forever).
+
+    What is particular to the index:
+
     * each manifest carries the fragment's (n_docs, dl_total), so
       ``meta.json``'s corpus totals are rebuilt by pure json sums — a
       100k-fragment refresh re-reads zero parquet.
+    * one index serves ONE corpus with ONE schema: a dir previously
+      written by :func:`build_text_index` (no "incremental" meta flag),
+      or a stale fragment whose id column type differs from the index's,
+      raises. Only stale fragments' footers are read, so a zero-work
+      resume reads no parquet at all.
 
     :func:`bm25_index_top_docs` serves both layouts unchanged
     (:func:`_term_bucket_files` globs flat and frag partitions); served
     scores remain bit-identical to the scan path over the fragment union.
-    One index serves ONE corpus with ONE schema: a dir previously written
-    by :func:`build_text_index` (no "incremental" meta flag), or a
-    fragment whose id column type differs from the recorded one, raises.
 
     Returns {"files_total", "files_indexed_now", "files_skipped_resume"}.
     """
-    import fcntl
-    import os
-
-    from pdf_parser_ray.state.checkpoint import _write_json_atomic
-
-    os.makedirs(os.path.join(index_dir, "postings"), exist_ok=True)
-    os.makedirs(os.path.join(index_dir, "_manifest"), exist_ok=True)
-    # the same file listed twice (or two spellings of one path) would pass
-    # the staleness check as two chunk entries sharing one frag key — the
-    # second iteration's rmtree would delete the postings the first just
-    # renamed in, then record an n_docs=0 manifest that resumes forever
-    files = list(dict.fromkeys(os.path.abspath(p) for p in files))
-    # ALL store mutations (including the full-build guard and the
-    # param-change wipe) happen under the lock: a pre-lock wipe would
-    # delete partitions a concurrent locked updater already committed
-    with open(os.path.join(index_dir, ".lock"), "w") as lock_f:
-        fcntl.flock(lock_f, fcntl.LOCK_EX)
-        try:
-            return _update_text_index_locked(
-                files, index_dir, n_buckets, text_col, id_col, chunk_size,
-                _write_json_atomic,
-            )
-        finally:
-            fcntl.flock(lock_f, fcntl.LOCK_UN)
-
-
-def _update_text_index_locked(
-    files: list[str],
-    index_dir: str,
-    n_buckets: int,
-    text_col: str,
-    id_col: str,
-    chunk_size: int,
-    _write_json_atomic,
-) -> dict:
-    import glob
-    import hashlib
     import json
     import os
-    import shutil
 
     import pyarrow.parquet as pq
 
-    def frag_key(path: str) -> str:
-        return hashlib.md5(os.path.abspath(path).encode()).hexdigest()[:16]
+    from pdf_parser_ray.state.fragments import open_store, write_json_atomic
 
-    post_root = os.path.join(index_dir, "postings")
-    man_root = os.path.join(index_dir, "_manifest")
     meta_path = os.path.join(index_dir, "meta.json")
-    prev_meta = None
-    if os.path.exists(meta_path):
-        with open(meta_path) as f:
-            prev_meta = json.load(f)
-        if not prev_meta.get("incremental"):
-            raise ValueError(
-                f"{index_dir} holds a full build_text_index build; "
-                "incremental updates need their own index dir"
-            )
-        if (
-            prev_meta["n_buckets"] != n_buckets
-            or prev_meta["id_col"] != id_col
-            or prev_meta["text_col"] != text_col
-        ):
-            # param change invalidates every fragment anyway (signatures
-            # embed the params); but n_buckets also changes the LAYOUT,
-            # so wipe rather than strand postings in dead bucket dirs
-            shutil.rmtree(post_root, ignore_errors=True)
-            shutil.rmtree(man_root, ignore_errors=True)
-            os.makedirs(post_root, exist_ok=True)
-            os.makedirs(man_root, exist_ok=True)
-            prev_meta = None
+    params = {"n_buckets": n_buckets, "id_col": id_col, "text_col": text_col}
+    with open_store(index_dir, "postings/frag={key}", files, params) as store:
+        prev_meta = None
+        if os.path.exists(meta_path):
+            with open(meta_path) as f:
+                prev_meta = json.load(f)
+            if not prev_meta.get("incremental"):
+                raise ValueError(
+                    f"{index_dir} holds a full build_text_index build; "
+                    "incremental updates need their own index dir"
+                )
+        # ONE id type per index: the recorded meta type while committed
+        # fragments remain (an empty or fully-stale store takes its type
+        # from the incoming fragments), checked against every stale one
+        id_type = None
+        if prev_meta is not None and store.n_resumed > 0:
+            id_type = pa.type_for_alias(prev_meta["id_type"])
+        for path in store.stale:
+            t = pq.read_schema(path).field(id_col).type
+            if id_type is None:
+                id_type = t
+            elif t != id_type:
+                raise ValueError(
+                    f"fragment {path} id type {t} != index id type {id_type}"
+                )
+        if id_type is None:  # no fragments at all: an empty corpus index
+            id_type = pa.string()
+        postings_fn = _make_postings_fn(id_type, text_col, id_col, n_buckets)
 
-    live = {frag_key(p) for p in files}
-    for man in glob.glob(os.path.join(man_root, "*.json")):
-        key = os.path.splitext(os.path.basename(man))[0]
-        if key not in live:
-            os.remove(man)
-            shutil.rmtree(os.path.join(post_root, f"frag={key}"), ignore_errors=True)
-    # orphan partitions from a crash in the rename-then-manifest window
-    for d in glob.glob(os.path.join(post_root, "frag=*")):
-        if os.path.basename(d)[len("frag="):] not in live:
-            shutil.rmtree(d, ignore_errors=True)
-
-    stats = {"files_total": len(files), "files_indexed_now": 0,
-             "files_skipped_resume": 0}
-    id_type = None
-    stale: list[tuple[str, str, dict, str]] = []
-    for path in files:
-        st = os.stat(path)
-        sig = {
-            "path": os.path.abspath(path),
-            "size": st.st_size,
-            "mtime_ns": st.st_mtime_ns,
-            "n_buckets": n_buckets,
-            "id_col": id_col,
-            "text_col": text_col,
-        }
-        key = frag_key(path)
-        manifest = os.path.join(man_root, f"{key}.json")
-        if os.path.exists(manifest):
-            with open(manifest) as f:
-                have = json.load(f)
-            if {k: have.get(k) for k in sig} == sig:
-                stats["files_skipped_resume"] += 1
-                continue
-        stale.append((path, key, sig, manifest))
-
-    # ONE id type per index: the recorded meta type when the store exists,
-    # else the first STALE fragment's footer; only stale fragments are
-    # validated — a zero-work resume must read zero parquet (footers
-    # included), the documented contract
-    if prev_meta is not None and stats["files_skipped_resume"] > 0:
-        # only binding when prior fragments actually remain: an empty or
-        # fully-stale store takes its type from the incoming fragments
-        id_type = pa.type_for_alias(prev_meta["id_type"])
-    for path, _, _, _ in stale:
-        t = pq.read_schema(path).field(id_col).type
-        if id_type is None:
-            id_type = t
-        elif t != id_type:
-            raise ValueError(
-                f"fragment {path} id type {t} != index id type {id_type}"
-            )
-    if id_type is None:  # no fragments at all: an empty corpus index
-        id_type = pa.string()
-
-    staging = os.path.join(index_dir, "_staging")
-    shutil.rmtree(staging, ignore_errors=True)
-    postings_fn = _make_postings_fn(id_type, text_col, id_col, n_buckets)
-    for i in range(0, len(stale), chunk_size):
-        chunk = stale[i : i + chunk_size]
-        shutil.rmtree(staging, ignore_errors=True)
-        branches = []
-        for path, key, _, _ in chunk:
-            frag = (
+        def build(path: str) -> ray.data.Dataset:
+            return (
                 ray.data.read_parquet(path, columns=[id_col, text_col])
                 .map_batches(
-                    lambda t, _c=id_col: t.filter(pc.is_valid(t[_c])),
+                    lambda t: t.filter(pc.is_valid(t[id_col])),
                     batch_format="pyarrow",
                 )
                 .map_batches(postings_fn, batch_format="pyarrow")
-                .map_batches(
-                    lambda t, _k=key: t.append_column(
-                        "frag", pa.array([_k] * t.num_rows, pa.string())
-                    ),
-                    batch_format="pyarrow",
-                )
             )
-            branches.append(frag)
-        ds = branches[0]
-        for b in branches[1:]:
-            ds = ds.union(b)
-        ds.write_parquet(staging, partition_cols=["frag", "bucket"])
-        for path, key, sig, manifest in chunk:
-            out = os.path.join(post_root, f"frag={key}")
-            shutil.rmtree(out, ignore_errors=True)
-            staged = os.path.join(staging, f"frag={key}")
-            n_docs = 0
-            dl_total = 0
-            if os.path.isdir(staged):
-                os.rename(staged, out)  # same filesystem: atomic move
-                for f in glob.glob(
-                    os.path.join(out, f"bucket={n_buckets}", "*.parquet")
-                ):
-                    t = pq.read_table(f, columns=["tf", "dl"])
-                    n_docs += int(pc.sum(t["tf"]).as_py() or 0)
-                    dl_total += int(pc.sum(t["dl"]).as_py() or 0)
-            # empty fragment: no partition dir; manifest alone records it
-            sig["n_docs"] = n_docs
-            sig["dl_total"] = dl_total
-            _write_json_atomic(manifest, sig)  # manifest last
-            stats["files_indexed_now"] += 1
-        shutil.rmtree(staging, ignore_errors=True)
 
-    # corpus totals = pure json sums over the live manifests
-    n_docs = 0
-    dl_total = 0
-    for man in glob.glob(os.path.join(man_root, "*.json")):
-        with open(man) as f:
-            m = json.load(f)
-        n_docs += int(m.get("n_docs", 0))
-        dl_total += int(m.get("dl_total", 0))
-    meta = {
-        "n_buckets": int(n_buckets),
-        "id_col": id_col,
-        "text_col": text_col,
-        "id_type": str(id_type),
-        "n_docs": n_docs,
-        "dl_total": dl_total,
-        "incremental": True,
+        store.commit(
+            build,
+            partition_cols=["bucket"],
+            extra=lambda frag_dir: _stats_totals(frag_dir, n_buckets),
+        )
+        manifests = store.manifests()
+        write_json_atomic(
+            meta_path,
+            {
+                "n_buckets": int(n_buckets),
+                "id_col": id_col,
+                "text_col": text_col,
+                "id_type": str(id_type),
+                "n_docs": sum(int(m.get("n_docs", 0)) for m in manifests),
+                "dl_total": sum(int(m.get("dl_total", 0)) for m in manifests),
+                "incremental": True,
+            },
+        )
+    return {
+        "files_total": len(store.files),
+        "files_indexed_now": len(store.stale),
+        "files_skipped_resume": store.n_resumed,
     }
-    _write_json_atomic(os.path.join(index_dir, "meta.json"), meta)
-    return stats
 
 
 def hybrid_search(

@@ -32,6 +32,7 @@ from pdf_parser_ray.schemas import PARTITION_METRICS_SCHEMA
 from pdf_parser_ray.pipelines.extract import _per_bucket
 from pdf_parser_ray.stages.assemble_stage import assemble_bucket
 from pdf_parser_ray.stages.render_stage import bucket_of
+from pdf_parser_ray.state.fragments import write_json_atomic
 
 MANIFEST_DIR = "_manifest"
 # per-partition counters, summed into every run summary
@@ -40,16 +41,6 @@ COUNTERS = ("docs_parsed", "spans_emitted", "parse_failures", "pages_processed")
 
 def _manifest_path(output_dir: str, bucket: int) -> str:
     return os.path.join(output_dir, MANIFEST_DIR, f"bucket_{bucket}.json")
-
-
-def _write_json_atomic(path: str, payload: dict[str, Any]) -> None:
-    """tmp + os.replace, mirroring the data.parquet write: a manifest's
-    existence marks its partition complete, so a crash mid-write must not
-    leave a truncated JSON that poisons resume/read_metrics."""
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(payload, f)
-    os.replace(tmp, path)
 
 
 def completed_buckets(output_dir: str) -> set[int]:
@@ -92,7 +83,7 @@ def write_bucket(
         ),
         "pages_processed": int(pa.compute.sum(result["total_pages"]).as_py() or 0),
     }
-    _write_json_atomic(_manifest_path(output_dir, bucket), metrics)
+    write_json_atomic(_manifest_path(output_dir, bucket), metrics)
     return pa.Table.from_pylist([metrics], schema=PARTITION_METRICS_SCHEMA)
 
 
@@ -118,7 +109,7 @@ def run_extraction(
                 f"run's n_buckets={prior.get('n_buckets')} for {output_dir}; "
                 "use the original value or a fresh output dir"
             )
-    _write_json_atomic(run_manifest, {"n_buckets": n_buckets})
+    write_json_atomic(run_manifest, {"n_buckets": n_buckets})
     done = completed_buckets(output_dir) if resume else set()
     if not resume:
         # a fresh run invalidates any previous partial state
@@ -206,7 +197,7 @@ def run_extraction_sharded(
     Shards execute SEQUENTIALLY on purpose: a shard is the commit unit and
     at corpus scale each one is minutes of work, so per-execution driver
     overhead is noise — unlike the band store's many small fragments,
-    which update_band_store batches into chunked unions. Size
+    which state/fragments.py batches into chunked unions. Size
     ``files_per_shard`` so a shard stays minutes-big; don't shrink it to
     seconds-big and reintroduce the sequential-driver bottleneck.
     """
@@ -265,7 +256,7 @@ def run_extraction_sharded(
             "parse_failures": int(stats.get("parse_failures") or 0),
             "pages_processed": int(stats.get("total_pages") or 0),
         }
-        _write_json_atomic(shard_manifest(i), manifest)
+        write_json_atomic(shard_manifest(i), manifest)
         totals["shards_completed_now"] += 1
         for k in COUNTERS:
             totals[k] += manifest[k]

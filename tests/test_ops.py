@@ -786,6 +786,43 @@ def test_minhash_dedup_resumable_reuses_signatures(ray_session, tmp_path):
     assert s3["files_hashed_now"] == 3
 
 
+def test_band_store_collapses_repeated_paths(ray_session, tmp_path):
+    """A file listed twice is hashed once: the second entry must not
+    delete the bands the first committed, which left a manifest that
+    marked the fragment hashed while its bands were gone for good."""
+    import pyarrow.parquet as pq
+
+    from pdf_parser_ray.ops.dedup import (
+        minhash_dedup_resumable,
+        read_band_store,
+        update_band_store,
+    )
+
+    base = (
+        "the quick brown fox jumps over the lazy dog again and again "
+        "while the observer counts tokens for the training corpus pipeline"
+    )
+    frags = [
+        [{"doc_id": "a1", "text": base}, {"doc_id": "c1", "text": "databases and storage engines layered deep"}],
+        [{"doc_id": "a2", "text": base}],
+    ]
+    files = []
+    for i, rows in enumerate(frags):
+        f = str(tmp_path / f"frag{i}.parquet")
+        pq.write_table(pa.Table.from_pylist(rows), f)
+        files.append(f)
+
+    clean = str(tmp_path / "clean_store")
+    update_band_store(files, clean)
+    store = str(tmp_path / "store")
+    s = update_band_store(files + files[:1], store)
+    assert s["files_total"] == len(files) and s["files_hashed_now"] == len(files)
+    assert read_band_store(store).count() == read_band_store(clean).count() > 0
+
+    got = sorted(minhash_dedup_resumable(files, store).to_pandas().doc_id)
+    assert got == ["a1", "c1"]  # the cross-fragment duplicate a2 dropped
+
+
 def test_scrub_pii_planted(ray_session):
     from pdf_parser_ray.ops import curation
 
