@@ -2,11 +2,14 @@
 
 Default: runs the headline flagship extraction plus the secondary operator
 pipelines over ``$GRAFT_SF_DIR`` (default /root/testdata/sf0.1) in a fresh
-``ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS)`` session and prints
-ONE JSON line::
+``ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS)`` session, writes the
+per-query timings to ``bench_queries.json`` next to this file and prints
+the compact headline as its LAST stdout line::
 
     {"metric": "...", "value": <headline sec>, "unit": "sec",
-     "queries": {...}, "sf": ..., "num_cpus": N, "docs_per_sec": ...}
+     "docs_per_sec": ..., "sf": ..., "mult": M, "num_cpus": N,
+     "cpu_count": ..., "loadavg": [1m, 5m, 15m],
+     "queries_file": ".../bench_queries.json", ...}
 
 ``--scaling``: runs the headline twice in fresh subprocesses at num_cpus=8
 and num_cpus=32 on the same input and reports both plus the scaling
@@ -46,6 +49,8 @@ NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 # shuffle's per-block coordination cost
 MULT = int(os.environ.get("GRAFT_BENCH_MULT", "8"))
 OUT_DIR = "/tmp/bench_out"
+# the per-query timings of the secondary sweep, {query: seconds}
+QUERIES_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "bench_queries.json")
 
 
 def _sf_label(sf_dir: str) -> str:
@@ -407,32 +412,32 @@ def main() -> None:
         return
 
     head = run_headline(plant_giant="--plant-giant" in sys.argv)
-    if headline_only:
-        queries = {}
-    else:
+    line = {
+        "metric": "flagship extraction end-to-end (span corpus -> skew-aware "
+        "map + giant-doc groupby reassembly shuffle -> parquet)",
+        "value": round(head["sec"], 3),
+        "unit": "sec",
+        "docs_per_sec": round(head["docs_per_sec"], 2),
+        "pages_per_sec": round(head["pages_per_sec"], 2),
+        "spans_per_sec": round(head["spans_per_sec"], 2),
+        "headline_samples": head["samples"],
+        "n_docs": head["n_docs"],
+        "sf": _sf_label(SF_DIR),
+        "mult": MULT,
+        "num_cpus": NUM_CPUS,
+        "cpu_count": os.cpu_count(),
+        "loadavg": [round(x, 2) for x in os.getloadavg()],
+    }
+    if not headline_only:
         # free the machine before the family children each bring up their
         # own fresh session — two live object stores would skew timings
         ray.shutdown()
-        queries = run_secondary()
-
-    print(
-        json.dumps(
-            {
-                "metric": "flagship extraction end-to-end (span corpus -> skew-aware "
-                "map + giant-doc groupby reassembly shuffle -> parquet)",
-                "value": round(head["sec"], 3),
-                "unit": "sec",
-                "headline_samples": head["samples"],
-                "queries": queries,
-                "sf": _sf_label(SF_DIR),
-                "num_cpus": NUM_CPUS,
-                "n_docs": head["n_docs"],
-                "docs_per_sec": round(head["docs_per_sec"], 2),
-                "pages_per_sec": round(head["pages_per_sec"], 2),
-                "spans_per_sec": round(head["spans_per_sec"], 2),
-            }
-        )
-    )
+        with open(QUERIES_PATH, "w") as f:
+            json.dump(run_secondary(), f, indent=1, sort_keys=True)
+        line["queries_file"] = QUERIES_PATH
+    # the compact headline is the LAST stdout line: a harness that keeps
+    # only the tail of the output still parses it
+    print(json.dumps(line))
     if ray.is_initialized():
         ray.shutdown()
 

@@ -9,7 +9,7 @@ worker process — replacing the reference's per-instance FIFO pattern cache
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from typing import Iterable, Optional, Sequence
 
 _NUMBERS_RE = re.compile(r"\d+")
 
@@ -35,6 +35,30 @@ def extract_field_with_regex(pattern: str, text: str, default: str = "Unknown") 
     return match.group(1).strip() if match else default
 
 
+def search_anchored(
+    pattern: str, text: str, anchors: Sequence[str], lowered: Optional[str]
+) -> Optional[re.Match]:
+    """``_compiled(pattern).search(text)`` for a pattern every match of
+    which starts with one of ``anchors`` (lowercase ASCII literals).
+
+    ``lowered`` is ``text.lower()`` when ``text`` is ASCII, else None. On
+    ASCII text a case-insensitive match of an ASCII literal is exactly a
+    ``str.find`` hit in the lowered text, so no match can start before the
+    first hit: without one the search is skipped, with one it resumes
+    there (``search(text, pos)`` still sees the characters before ``pos``
+    for ``\\b``). Non-ASCII text gets the full search — IGNORECASE also
+    folds e.g. 'ſ' to 's' and the Kelvin sign to 'k', which ``find``
+    cannot see. Empty ``anchors`` name no literal: full search too.
+    """
+    start = 0
+    if lowered is not None and anchors:
+        hits = [i for i in map(lowered.find, anchors) if i >= 0]
+        if not hits:
+            return None
+        start = min(hits)
+    return _compiled(pattern).search(text, start)
+
+
 def split_into_lines(text: str) -> list[str]:
     """Split text into lines with trailing whitespace removed.
 
@@ -51,16 +75,19 @@ def find_content_start(lines: Iterable[tuple[int, str]], search_terms: list[str]
 
     One combined alternation replaces the reference's per-line, per-term
     compile-and-search (utils/text_utils.py:27-33, 59-66) — same result,
-    since any matching term returns the line.
+    since any matching term returns the line. The scan starts at the first
+    term found by ``str.find`` (:func:`search_anchored`).
     """
-    pattern = _compiled(
-        r"\b(?:" + "|".join(re.escape(t) for t in search_terms) + r")\b"
-    )
+    pattern = r"\b(?:" + "|".join(re.escape(t) for t in search_terms) + r")\b"
     # one C-level scan over the newline-joined text instead of a Python
     # loop of per-line searches; terms contain no newline so a match can
     # never span lines, and \b behaves identically at \n and line edges
     joined = "\n".join(line for _page, line in lines)
-    match = pattern.search(joined)
+    ascii_only = joined.isascii() and all(t.isascii() for t in search_terms)
+    lowered = joined.lower() if ascii_only else None
+    match = search_anchored(
+        pattern, joined, [t.lower() for t in search_terms], lowered
+    )
     if match is None:
         return 0
     return joined.count("\n", 0, match.start()) + 1

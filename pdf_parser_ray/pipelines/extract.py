@@ -37,8 +37,10 @@ from pdf_parser_ray.stages.assemble_stage import assemble_bucket, assemble_doc_r
 from pdf_parser_ray.stages.render_stage import bucket_of, render_doc, render_pages
 
 DEFAULT_N_BUCKETS = 64
-# whole documents per extract_fused batch
-FUSED_BATCH_DOCS = 16
+# whole documents per extract_fused batch: enough that Ray's per-batch
+# cost is small next to the doclogic work. The hybrid flagship sends only
+# docs of at most giant_span_threshold spans here, which bounds a batch's heap.
+FUSED_BATCH_DOCS = 256
 # documents per render_pages batch: bounds the page rows one task holds, so
 # a run of multi-hundred-page docs can't blow a task's heap
 RENDER_BATCH_DOCS = 32
@@ -263,9 +265,11 @@ def extract_hybrid(
     4-CPU VM it cost a 600-doc corpus with 6% giants about 11% of its
     wall time, and saved a 7,200-doc corpus without giants about a third.
 
-    ``corpus_factory``: a zero-arg callable returning a fresh corpus
-    Dataset (the census and each branch re-read the source), or a Dataset
-    (branched lazily; its upstream executes once per pass).
+    ``corpus_factory``: a zero-arg callable returning the corpus Dataset,
+    or a Dataset. It is called once: the strict/route id-count pass, the
+    census and every branch all branch lazily from that one Dataset, so a
+    ``read_parquet`` plans its read (file listing, metadata, sampling)
+    once. Each pass still executes the upstream, i.e. scans the source.
 
     REQUIRES whole-document rows: the size filter classifies per ROW, so a
     document fragmented across corpus rows would have its fragments
@@ -288,13 +292,11 @@ def extract_hybrid(
       a corpus fragmented wholesale belongs on ``extract()``.
     """
 
-    def make():
-        return corpus_factory() if callable(corpus_factory) else corpus_factory
-
     if on_fragments not in ("raise", "route"):
         raise ValueError(
             f"on_fragments must be 'raise' or 'route', got {on_fragments!r}"
         )
+    corpus = corpus_factory() if callable(corpus_factory) else corpus_factory
 
     frag_ref = None
     if on_fragments == "route":
@@ -302,16 +304,16 @@ def extract_hybrid(
         # id-count pass would silently produce duplicate doc_id rows
         frag_ids = sorted(
             r["doc_id"]
-            for r in fragmented_doc_ids(make()).select_columns(["doc_id"]).take_all()
+            for r in fragmented_doc_ids(corpus).select_columns(["doc_id"]).take_all()
         )
         if frag_ids:
             frag_ref = ray.put(pa.array(frag_ids, pa.string()))
     elif strict_fragment_check:
-        assert_whole_doc_rows(make())
+        assert_whole_doc_rows(corpus)
 
     # fragment rows count too: a class holding only fragments builds a
     # branch that yields no rows, never drops one that holds whole docs
-    n_giant, n_small = _size_census(make(), giant_span_threshold)
+    n_giant, n_small = _size_census(corpus, giant_span_threshold)
 
     def only(ds: ray.data.Dataset, fragmented: bool) -> ray.data.Dataset:
         if frag_ref is None:
@@ -328,7 +330,7 @@ def extract_hybrid(
         return ds.map_batches(f, batch_format="pyarrow")
 
     def whole_rows(giant: bool) -> ray.data.Dataset:
-        ds = make()
+        ds = corpus
         if n_giant and n_small:
             ds = split_by_span_count(ds, giant_span_threshold, giant)
         return only(ds, False)
@@ -339,9 +341,9 @@ def extract_hybrid(
     if n_giant:
         branches.append(extract(whole_rows(True), n_buckets, strip_boilerplate))
     if frag_ref is not None:
-        branches.append(extract(only(make(), True), n_buckets, strip_boilerplate))
+        branches.append(extract(only(corpus, True), n_buckets, strip_boilerplate))
     if not branches:  # an empty corpus
-        branches.append(extract_fused(make(), n_buckets, strip_boilerplate))
+        branches.append(extract_fused(corpus, n_buckets, strip_boilerplate))
     return branches[0].union(*branches[1:]) if len(branches) > 1 else branches[0]
 
 

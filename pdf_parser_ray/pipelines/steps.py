@@ -222,11 +222,7 @@ def _silence_empty_block_schema_warning() -> None:
     ).addFilter(_EmptyBlockSchemaDivergenceFilter())
 
 
-def configure_context(
-    shuffle: str = "push",
-    target_max_block_size: Optional[int] = None,
-    preserve_order: bool = False,
-) -> Any:
+def configure_context(shuffle: str = "push") -> Any:
     """Apply the engine's recommended DataContext knobs in one place —
     entry points own the Ray session, the library never mutates global
     state implicitly. ``shuffle``: 'push' (recommended — lowest driver
@@ -256,13 +252,10 @@ def configure_context(
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
     ctx.op_resource_reservation_enabled = False
-    ctx.execution_options.preserve_order = preserve_order
     if shuffle == "push":
         ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
     elif shuffle == "hash":
         ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
     else:
         ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
-    if target_max_block_size is not None:
-        ctx.target_max_block_size = target_max_block_size
     return ctx

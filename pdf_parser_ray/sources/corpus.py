@@ -8,10 +8,15 @@ schema. Replaces the reference's JSONL stage files (utils/helpers.py:46-101).
 
 from __future__ import annotations
 
+import warnings
 from typing import Optional
 
 import pyarrow as pa
 import ray.data
+from ray.data.datasource.parquet_meta_provider import (
+    ParquetMetadataProvider,
+    _fetch_metadata,
+)
 
 from pdf_parser_ray.schemas import CORPUS_SCHEMA
 from pdf_parser_ray.synthgen import doc_text_to_spans, generate_document
@@ -26,12 +31,36 @@ def _lance_available() -> bool:
         return False
 
 
+class _InProcessFooters(ParquetMetadataProvider):
+    """Reads every parquet footer in the calling process.
+
+    Above 24 files Ray's default provider fetches the footers in remote
+    tasks of 0.5 CPU each. More of those fit on the CPUs than there are
+    idle workers, so the raylet starts extra worker processes; once the
+    fetch is done they sit idle without ``ray.data`` imported, and a read
+    or map task that lands on one first pays that import (about 0.8 s).
+    Whether that happens depends on which idle workers the raylet has
+    killed since, so the same pipeline ran 1.1 s or 2.0 s from one call to
+    the next. A local footer is a few kB read from disk: reading them here
+    costs milliseconds and starts no process."""
+
+    def prefetch_file_metadata(self, fragments, **ray_remote_args):
+        return _fetch_metadata(fragments)
+
+
 def read_corpus(path: str, **kwargs) -> ray.data.Dataset:
     """Read a span corpus: ``.lance`` via read_lance when available, else a
-    parquet directory/file with the same (doc_id, spans) schema."""
+    parquet directory/file with the same (doc_id, spans) schema. A local
+    parquet corpus has its footers read on the caller (``_InProcessFooters``)."""
     if path.endswith(".lance") and _lance_available():
         return ray.data.read_lance(path, **kwargs)
-    return ray.data.read_parquet(path, **kwargs)
+    if "://" in path:  # remote storage: Ray fetches footers in parallel
+        return ray.data.read_parquet(path, **kwargs)
+    with warnings.catch_warnings():
+        # the argument is deprecated upstream, but still the only way to
+        # keep the footer fetch out of remote tasks
+        warnings.simplefilter("ignore", DeprecationWarning)
+        return ray.data.read_parquet(path, meta_provider=_InProcessFooters(), **kwargs)
 
 
 def write_corpus(ds: ray.data.Dataset, path: str, **kwargs) -> None:

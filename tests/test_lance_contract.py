@@ -58,6 +58,36 @@ def test_read_corpus_parquet_fallback_without_lance(monkeypatch, tmp_path, ray_s
     assert ds.count() == 1
 
 
+def test_read_corpus_reads_parquet_footers_in_process(monkeypatch, tmp_path, ray_session):
+    """Above 24 files Ray fetches parquet footers in remote tasks, which
+    start surplus workers; a local corpus must not take that path."""
+    import pyarrow.parquet as pq
+    import pytest
+    import ray.data.datasource.parquet_meta_provider as meta
+
+    from pdf_parser_ray.sources import corpus as c
+
+    monkeypatch.setattr(c, "_lance_available", lambda: False)
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    rows = _empty_corpus().take_all()[0]
+    ids = [f"d{i:02d}" for i in range(meta.PARALLELIZE_META_FETCH_THRESHOLD + 6)]
+    for doc_id in ids:
+        pq.write_table(
+            pa.Table.from_pylist([{**rows, "doc_id": doc_id}], schema=CORPUS_SCHEMA),
+            str(corpus_dir / f"{doc_id}.parquet"),
+        )
+
+    def remote_fetch(*args, **kwargs):
+        raise AssertionError("footers fetched in remote tasks")
+
+    monkeypatch.setattr(meta, "_fetch_metadata_parallel", remote_fetch)
+    with pytest.raises(AssertionError, match="remote tasks"):
+        ray.data.read_parquet(str(corpus_dir))  # the path this corpus would take
+    ds = c.read_corpus(str(corpus_dir), override_num_blocks=4)
+    assert sorted(r["doc_id"] for r in ds.select_columns(["doc_id"]).take_all()) == ids
+
+
 def test_write_corpus_routes_lance_with_corpus_schema(monkeypatch, ray_session):
     from pdf_parser_ray.sources import corpus as c
 

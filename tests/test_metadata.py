@@ -32,3 +32,47 @@ def test_golden_metadata_row_shape():
     )
     md = metadata.parse_metadata([{"page": 1, "text": text}])
     assert md == golden
+
+
+def _oracle(text):
+    """The four fields as the unanchored case-insensitive searches give
+    them (extract_field_with_regex over the whole window)."""
+    import re
+
+    out = {}
+    for field, pattern in metadata.METADATA_PATTERNS.items():
+        m = re.compile(pattern, re.IGNORECASE).search(text)
+        out[field] = m.group(1).strip() if m else metadata.DEFAULT_VALUE
+    return out
+
+
+def test_anchored_metadata_equals_full_search(fuzz_texts):
+    n_ascii = n_hit = 0
+    for i, text in enumerate(fuzz_texts(100_000, seed=20261018)):
+        # every 7th text spreads over two window pages (newline-joined)
+        cut = len(text) // 2 if i % 7 == 0 else len(text)
+        pages = [{"page": 1, "text": text[:cut]}, {"page": 2, "text": text[cut:]}]
+        want = _oracle("\n".join(p["text"] for p in pages))
+        assert metadata.parse_metadata(pages) == want, text
+        n_ascii += text.isascii()
+        n_hit += any(v != metadata.DEFAULT_VALUE for v in want.values())
+    # the fuzz exercises both branches and both outcomes
+    assert 20_000 < n_ascii < 90_000 and 20_000 < n_hit < 90_000
+
+
+def test_anchored_metadata_pins():
+    def md(text):
+        return metadata.parse_metadata([{"page": 1, "text": text}])
+
+    # the first 'v' (in 'overview', then a bare 'v') fails; the search
+    # goes on from there to the later Version
+    got = md("Overview: v and then Version 2.0")
+    assert got["version"] == "2.0" == _oracle("Overview: v and then Version 2.0")["version"]
+    # the anchor is found but the regex still fails
+    assert md("Revision pending, release date TBD")["revision"] == "Unknown"
+    assert md("Revision pending, release date TBD")["release_date"] == "Unknown"
+    # non-ASCII text that matches only through the long s fold
+    text = "Univerſal Serial Bus Power Delivery Specification, Reviſion: 3.2"
+    got = md(text)
+    assert got == _oracle(text)
+    assert got["doc_title"].startswith("Univerſal") and got["revision"] == "3.2"

@@ -159,17 +159,13 @@ def engine_context(ray_session):
     saved = (
         ctx.enable_progress_bars,
         ctx.op_resource_reservation_enabled,
-        ctx.execution_options.preserve_order,
         ctx.shuffle_strategy,
-        ctx.target_max_block_size,
     )
     yield configure_context()
     (
         ctx.enable_progress_bars,
         ctx.op_resource_reservation_enabled,
-        ctx.execution_options.preserve_order,
         ctx.shuffle_strategy,
-        ctx.target_max_block_size,
     ) = saved
 
 
@@ -416,6 +412,30 @@ def test_hybrid_routes_fragmented_docs(ray_session):
     for i in range(len(got)):
         assert spans_key(got.iloc[i]["spans"]) == spans_key(want.iloc[i]["spans"])
         assert got.iloc[i]["n_sections"] == want.iloc[i]["n_sections"]
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{}, {"strict_fragment_check": True}, {"on_fragments": "route"}],
+    ids=["default", "strict", "route"],
+)
+def test_hybrid_reads_corpus_once(ray_session, kwargs):
+    """extract_hybrid calls its corpus factory once: the id-count pass, the
+    census and every branch (small, giant and, on the route path, the
+    fragmented one) branch from that one Dataset."""
+    from pdf_parser_ray.pipelines import extract_hybrid
+
+    route = kwargs.get("on_fragments") == "route"
+    rows = _fragmented_corpus() if route else _route_corpus()[0].to_pylist()
+    calls = []
+
+    def make():
+        calls.append(1)
+        return ray.data.from_items(rows).repartition(3)
+
+    ds = extract_hybrid(make, n_buckets=8, giant_span_threshold=60, **kwargs)
+    got = sorted(r["doc_id"] for r in ds.select_columns(["doc_id"]).take_all())
+    assert got == sorted({r["doc_id"] for r in rows})
+    assert len(calls) == 1
 
 
 def test_hybrid_raise_policy_still_raises(ray_session):
