@@ -89,15 +89,15 @@ def _int_doc_id(ds):
 
 
 def entry() -> Any:
-    """Flagship: documents -> span corpus -> render/assemble shuffle ->
-    per-doc result; returns the north-invariant (doc_id, spans) table plus
-    count columns."""
+    """Flagship: documents -> span corpus -> skew-aware extraction
+    (``extract_hybrid``) -> per-doc result; returns the north-invariant
+    (doc_id, spans) table plus count columns."""
     _install_log_hygiene()
-    from pdf_parser_ray.pipelines import extract
+    from pdf_parser_ray.pipelines import extract_hybrid
     from pdf_parser_ray.sources import corpus_from_documents
 
     corpus = corpus_from_documents("/root/testdata/sf0.001")
-    results = extract(corpus, n_buckets=16)
+    results = extract_hybrid(corpus, n_buckets=16)
     return results.select_columns(
         ["doc_id", "spans", "total_pages", "n_sections", "n_spans", "parse_failure"]
     )

@@ -402,9 +402,7 @@ def main() -> None:
         runtime_env={"env_vars": env},
     )
 
-    # push-based sort shuffle: measurably lower driver-side coordination
-    # cost for the reassembly groupby in this Ray build
-    configure_context(shuffle="push")
+    configure_context()
 
     if family:
         print(json.dumps(run_family(family)))

@@ -18,6 +18,10 @@ import argparse
 import json
 import sys
 
+# the default is stages.render_stage.DEFAULT_N_BUCKETS, resolved after
+# parsing: importing the package at argparse time would import ray.data
+N_BUCKETS_HELP = "hash buckets (default: stages.render_stage.DEFAULT_N_BUCKETS)"
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="pdf_parser_ray")
@@ -27,13 +31,13 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="full reference flow over a corpus")
     p_run.add_argument("--input", required=True, help="corpus path (.lance or parquet)")
     p_run.add_argument("--output", required=True)
-    p_run.add_argument("--n-buckets", type=int, default=64)
+    p_run.add_argument("--n-buckets", type=int, default=None, help=N_BUCKETS_HELP)
     p_run.add_argument("--no-boilerplate-strip", action="store_true")
 
     p_ext = sub.add_parser("extract", help="checkpointed resumable extraction")
     p_ext.add_argument("--input", required=True)
     p_ext.add_argument("--output", required=True)
-    p_ext.add_argument("--n-buckets", type=int, default=64)
+    p_ext.add_argument("--n-buckets", type=int, default=None, help=N_BUCKETS_HELP)
     p_ext.add_argument("--no-resume", action="store_true")
 
     p_gen = sub.add_parser("bench-gen", help="write a synthetic span corpus")
@@ -67,8 +71,11 @@ def main(argv: list[str] | None = None) -> int:
             kwargs["num_cpus"] = args.num_cpus
         ray.init(**kwargs)
     from pdf_parser_ray.pipelines.steps import configure_context
+    from pdf_parser_ray.stages.render_stage import DEFAULT_N_BUCKETS
 
     configure_context()
+    if getattr(args, "n_buckets", 0) is None:  # only run/extract have it
+        args.n_buckets = DEFAULT_N_BUCKETS
 
     try:
         if args.cmd == "run":

@@ -34,9 +34,13 @@ from pdf_parser_ray.schemas import (
     TOC_SCHEMA,
 )
 from pdf_parser_ray.stages.assemble_stage import assemble_bucket, assemble_doc_rows
-from pdf_parser_ray.stages.render_stage import bucket_of, render_doc, render_pages
+from pdf_parser_ray.stages.render_stage import (
+    DEFAULT_N_BUCKETS,
+    bucket_of,
+    render_doc,
+    render_pages,
+)
 
-DEFAULT_N_BUCKETS = 64
 # whole documents per extract_fused batch: enough that Ray's per-batch
 # cost is small next to the doclogic work. The hybrid flagship sends only
 # docs of at most giant_span_threshold spans here, which bounds a batch's heap.
@@ -54,12 +58,11 @@ def _span_counts(batch: pa.Table) -> pa.Array:
     return pa.compute.list_value_length(batch["spans"]).fill_null(0)
 
 
-def split_by_span_count(
+def _split_by_span_count(
     ds: ray.data.Dataset, threshold: int, giant: bool
 ) -> ray.data.Dataset:
-    """The size-class predicate shared by extract_hybrid and the sharded
-    checkpoint runner: keep docs whose span count is above
-    (``giant=True``) / at-or-below the threshold."""
+    """extract_hybrid's size-class filter: keep docs whose span count is
+    above (``giant=True``) / at-or-below the threshold."""
 
     def keep(batch: pa.Table) -> pa.Table:
         n = _span_counts(batch)
@@ -220,7 +223,7 @@ def assert_whole_doc_rows(ds: ray.data.Dataset, id_col: str = "doc_id") -> None:
 
 def _size_census(ds: ray.data.Dataset, threshold: int) -> tuple[int, int]:
     """(rows above ``threshold`` spans, rows at or below it) in one pass —
-    the split_by_span_count law, counted instead of filtered."""
+    the _split_by_span_count law, counted instead of filtered."""
 
     def count(batch: pa.Table) -> pa.Table:
         giant = pa.compute.sum(pa.compute.greater(_span_counts(batch), threshold))
@@ -332,7 +335,7 @@ def extract_hybrid(
     def whole_rows(giant: bool) -> ray.data.Dataset:
         ds = corpus
         if n_giant and n_small:
-            ds = split_by_span_count(ds, giant_span_threshold, giant)
+            ds = _split_by_span_count(ds, giant_span_threshold, giant)
         return only(ds, False)
 
     branches = []
@@ -394,8 +397,10 @@ def page_range(
     n_buckets: int = DEFAULT_N_BUCKETS,
 ) -> ray.data.Dataset:
     """Page-range reader (reference extractor.py:116-148, S2): rendered page
-    rows restricted to the 1-indexed inclusive range with an Arrow predicate
-    after the page fan-out."""
+    rows restricted to the inclusive range with an Arrow predicate after the
+    page fan-out. Pages are 1-indexed by default; ``start_page=0`` keeps a
+    genuine page 0. An empty or failed doc's ``page=-1`` marker row is never
+    in range, so any ``start_page >= 0`` returns real pages only."""
     rows = page_rows(corpus_ds, n_buckets)
 
     def cut(batch: pa.Table) -> pa.Table:

@@ -24,20 +24,20 @@ from typing import Any
 
 import ray.data
 
-from pdf_parser_ray.pipelines.extract import extract, page_rows
+from pdf_parser_ray.pipelines.extract import extract, page_range
 from pdf_parser_ray.pipelines.validation import (
     validation_summary,
     write_validation_report,
 )
 from pdf_parser_ray.sources.jsonl_compat import write_reference_outputs
+from pdf_parser_ray.stages.render_stage import DEFAULT_N_BUCKETS
 
 
 def run_reference_pipeline(
     corpus_ds: ray.data.Dataset,
     output_dir: str,
-    n_buckets: int = 64,
+    n_buckets: int = DEFAULT_N_BUCKETS,
     strip_boilerplate: bool = True,
-    write_pages: bool = True,
 ) -> dict[str, Any]:
     """Run the full five-step flow; returns the validation summary dict
     (the reference's report row) plus the output paths.
@@ -73,20 +73,11 @@ def run_reference_pipeline(
     paths = write_reference_outputs(back, output_dir)
     paths["extraction"] = extraction_dir
 
-    if write_pages:
-        pages_dir = fresh("pages")
-
-        def real_pages(batch):
-            import pyarrow.compute as pc
-
-            return batch.filter(pc.greater_equal(batch["page"], 0)).drop_columns(
-                ["nontext_spans", "bucket", "parse_failure"]
-            )
-
-        page_rows(corpus_ds, n_buckets).map_batches(
-            real_pages, batch_format="pyarrow"
-        ).write_parquet(pages_dir)
-        paths["pages"] = pages_dir
+    pages_dir = fresh("pages")
+    page_range(corpus_ds, start_page=0, n_buckets=n_buckets).drop_columns(
+        ["nontext_spans", "bucket", "parse_failure"]
+    ).write_parquet(pages_dir)
+    paths["pages"] = pages_dir
 
     summary = validation_summary(back)
     report_path = write_validation_report(

@@ -25,6 +25,12 @@ from pdf_parser_ray.functions.hashing import fnv1a_32
 from pdf_parser_ray.schemas import PAGE_ROW_SCHEMA
 
 
+# the hash-bucket count every extraction route, the checkpoint runner and
+# the CLI default to; it fixes a checkpoint's layout, and a resume must use
+# the count its run was started with
+DEFAULT_N_BUCKETS = 64
+
+
 def bucket_of(doc_id: str, n_buckets: int) -> int:
     """Deterministic, process-independent partition assignment."""
     return fnv1a_32(doc_id) % n_buckets

@@ -5,7 +5,5 @@ from pdf_parser_ray.state.checkpoint import (  # noqa: F401
     completed_buckets,
     read_extraction,
     read_metrics,
-    read_sharded_extraction,
     run_extraction,
-    run_extraction_sharded,
 )

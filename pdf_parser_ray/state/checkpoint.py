@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 from typing import Any
 
 import pyarrow as pa
@@ -31,7 +30,7 @@ import ray.data
 from pdf_parser_ray.schemas import PARTITION_METRICS_SCHEMA
 from pdf_parser_ray.pipelines.extract import _per_bucket
 from pdf_parser_ray.stages.assemble_stage import assemble_bucket
-from pdf_parser_ray.stages.render_stage import bucket_of
+from pdf_parser_ray.stages.render_stage import DEFAULT_N_BUCKETS, bucket_of
 from pdf_parser_ray.state.fragments import write_json_atomic
 
 MANIFEST_DIR = "_manifest"
@@ -90,7 +89,7 @@ def write_bucket(
 def run_extraction(
     corpus_ds: ray.data.Dataset,
     output_dir: str,
-    n_buckets: int = 64,
+    n_buckets: int = DEFAULT_N_BUCKETS,
     strip_boilerplate: bool = True,
     resume: bool = True,
 ) -> dict[str, Any]:
@@ -159,143 +158,3 @@ def read_metrics(output_dir: str) -> list[dict[str, Any]]:
             out.append(json.load(f))
     return out
 
-
-# ---- shard-level checkpointing for the map-only (no-shuffle) path ---------
-
-
-def _shard_groups(files: list[str], files_per_shard: int) -> list[list[str]]:
-    return [
-        files[i : i + files_per_shard]
-        for i in range(0, len(files), files_per_shard)
-    ]
-
-
-def run_extraction_sharded(
-    input_files: list[str],
-    output_dir: str,
-    files_per_shard: int = 8,
-    giant_span_threshold: int = 512,
-    n_buckets: int = 64,
-    strip_boilerplate: bool = True,
-    resume: bool = True,
-) -> dict[str, Any]:
-    """Skew-aware, resumable extraction over an input file list.
-
-    Whole-doc rows (<= ``giant_span_threshold`` spans) process map-only per
-    input SHARD (a group of files): each shard writes ``shard=<i>/`` plus a
-    manifest, so resume granularity is the shard and nothing shuffles. The
-    giant-doc tail from ALL files goes through the bucketed groupby path
-    (``run_extraction``) into ``giant/`` with its own per-bucket manifests.
-    This is the checkpointed form of ``pipelines.extract_hybrid``: at corpus
-    scale the shuffle moves only the skew tail while the bulk path commits
-    per input shard ("one output directory per input shard", resumable).
-
-    REQUIRES whole-document rows (like extract_hybrid): fragments of one
-    document in different rows would assemble independently on the map-only
-    path — fragmented corpora go through ``run_extraction``.
-
-    Shards execute SEQUENTIALLY on purpose: a shard is the commit unit and
-    at corpus scale each one is minutes of work, so per-execution driver
-    overhead is noise — unlike the band store's many small fragments,
-    which state/fragments.py batches into chunked unions. Size
-    ``files_per_shard`` so a shard stays minutes-big; don't shrink it to
-    seconds-big and reintroduce the sequential-driver bottleneck.
-    """
-    from pdf_parser_ray.pipelines.extract import extract_fused, split_by_span_count
-
-    os.makedirs(os.path.join(output_dir, MANIFEST_DIR), exist_ok=True)
-    shards = _shard_groups(sorted(input_files), files_per_shard)
-
-    def shard_manifest(i: int) -> str:
-        return os.path.join(output_dir, MANIFEST_DIR, f"shard_{i}.json")
-
-    totals = dict.fromkeys(COUNTERS, 0)
-    totals.update(shards_completed_now=0, shards_skipped_resume=0)
-    for i, shard_files in enumerate(shards):
-        if resume and os.path.exists(shard_manifest(i)):
-            with open(shard_manifest(i)) as f:
-                recorded = json.load(f).get("input_files")
-            if recorded != shard_files:
-                # shard indices are positional: a changed file list or
-                # files_per_shard shifts them, so skipping by index alone
-                # would silently drop/duplicate documents
-                raise ValueError(
-                    f"shard {i} manifest was written for input files "
-                    f"{recorded} but this run assigns {shard_files}; the "
-                    "input list/sharding changed — use a fresh output dir"
-                )
-            totals["shards_skipped_resume"] += 1
-            continue
-        ds = split_by_span_count(
-            ray.data.read_parquet(shard_files), giant_span_threshold, giant=False
-        )
-        from ray.data.aggregate import Count, Sum
-
-        results = extract_fused(ds, n_buckets, strip_boilerplate)
-        shard_dir = os.path.join(output_dir, f"shard={i}")
-        shutil.rmtree(shard_dir, ignore_errors=True)
-        results.write_parquet(shard_dir)
-        if os.path.isdir(shard_dir):
-            stats = ray.data.read_parquet(shard_dir).aggregate(
-                Count(alias_name="n_rows"),
-                Sum("n_spans", alias_name="n_spans"),
-                Sum("parse_failure", alias_name="parse_failures"),
-                Sum("total_pages", alias_name="total_pages"),
-            )
-        else:
-            # a shard whose docs are all above the giant threshold writes
-            # nothing (they flow through the giant branch below) — still a
-            # completed shard with zero counters
-            stats = {}
-        n_rows = int(stats.get("n_rows") or 0)
-        manifest = {
-            "shard": i,
-            "input_files": shard_files,
-            "docs_parsed": n_rows,
-            "spans_emitted": int(stats.get("n_spans") or 0),
-            "parse_failures": int(stats.get("parse_failures") or 0),
-            "pages_processed": int(stats.get("total_pages") or 0),
-        }
-        write_json_atomic(shard_manifest(i), manifest)
-        totals["shards_completed_now"] += 1
-        for k in COUNTERS:
-            totals[k] += manifest[k]
-
-    giant_ds = split_by_span_count(
-        ray.data.read_parquet(sorted(input_files)), giant_span_threshold, giant=True
-    )
-    giant_summary = run_extraction(
-        giant_ds,
-        os.path.join(output_dir, "giant"),
-        n_buckets=n_buckets,
-        strip_boilerplate=strip_boilerplate,
-        resume=resume,
-    )
-    totals["giant"] = giant_summary
-    totals["output_dir"] = output_dir
-    return totals
-
-
-def read_sharded_extraction(output_dir: str) -> ray.data.Dataset:
-    """Stream back a sharded extraction (all completed shards + giants)."""
-    paths = []
-    mdir = os.path.join(output_dir, MANIFEST_DIR)
-    for name in sorted(os.listdir(mdir)):
-        if name.startswith("shard_"):
-            with open(os.path.join(mdir, name)) as f:
-                shard = json.load(f)["shard"]
-            p = os.path.join(output_dir, f"shard={shard}")
-            if os.path.isdir(p):  # all-giant shards write no map-only data
-                paths.append(p)
-    giant_dir = os.path.join(output_dir, "giant")
-    datasets = [ray.data.read_parquet(p) for p in paths]
-    if os.path.isdir(giant_dir) and completed_buckets(giant_dir):
-        datasets.append(read_extraction(giant_dir))
-    if not datasets:
-        from pdf_parser_ray.schemas import DOC_RESULT_SCHEMA
-
-        return ray.data.from_arrow(pa.Table.from_pylist([], schema=DOC_RESULT_SCHEMA))
-    ds = datasets[0]
-    for other in datasets[1:]:
-        ds = ds.union(other)
-    return ds

@@ -306,42 +306,35 @@ def test_hybrid_equals_fused(ray_session, corpus_table, oracle):
         assert spans_key(row["spans"]) == spans_key(oracle[row["doc_id"]]["spans"])
 
 
-def test_sharded_checkpoint_resume(ray_session, corpus_table, tmp_path):
-    from pdf_parser_ray.state.checkpoint import (
-        read_sharded_extraction,
-        run_extraction_sharded,
-    )
+def test_page_range(ray_session):
+    """page_range returns exactly the rendered page rows in range: no
+    page=-1 marker rows for null-spans or empty-spans docs, and a genuine
+    page 0 is kept from start_page=0."""
+    from pdf_parser_ray.pipelines import page_rows
+    from pdf_parser_ray.pipelines.extract import page_range
+    from pdf_parser_ray.schemas import CORPUS_SCHEMA
 
-    # write the corpus as multiple input files
-    import pyarrow.parquet as pq
+    rows = generate_corpus(4, seed=3, max_pages=6).to_pylist() + [
+        {"doc_id": "null-spans", "spans": None},
+        {"doc_id": "empty-spans", "spans": []},
+        {"doc_id": "page-zero", "spans": [
+            {"kind": "page_break", "text": "0", "media_ref": "", "offset": 0},
+            {"kind": "text", "text": "page zero", "media_ref": "", "offset": 1},
+        ]},
+    ]
+    ds = ray.data.from_arrow(pa.Table.from_pylist(rows, schema=CORPUS_SCHEMA))
 
-    indir = tmp_path / "corpus"
-    indir.mkdir()
-    n_files = 6
-    per = (corpus_table.num_rows + n_files - 1) // n_files
-    files = []
-    for i in range(n_files):
-        part = corpus_table.slice(i * per, per)
-        f = str(indir / f"part-{i}.parquet")
-        pq.write_table(part, f)
-        files.append(f)
+    def key(r):
+        return (r["doc_id"], r["page"], r["page_order"])
 
-    out = str(tmp_path / "sharded")
-    s1 = run_extraction_sharded(
-        files, out, files_per_shard=2, giant_span_threshold=60, n_buckets=8
-    )
-    assert s1["shards_completed_now"] == 3
-    back = read_sharded_extraction(out)
-    assert back.count() == N_DOCS
-
-    # resume: wipe one shard manifest, only that shard recomputes
-    os.remove(os.path.join(out, "_manifest", "shard_1.json"))
-    s2 = run_extraction_sharded(
-        files, out, files_per_shard=2, giant_span_threshold=60, n_buckets=8
-    )
-    assert s2["shards_completed_now"] == 1
-    assert s2["shards_skipped_resume"] == 2
-    assert read_sharded_extraction(out).count() == N_DOCS
+    every = sorted(page_rows(ds, n_buckets=4).take_all(), key=key)
+    pages = {(r["doc_id"], r["page"]) for r in every}
+    assert {("null-spans", -1), ("empty-spans", -1), ("page-zero", 0)} <= pages
+    for lo, hi in ((0, None), (2, 3)):
+        want = [r for r in every if r["page"] >= lo and (hi is None or r["page"] <= hi)]
+        got = sorted(page_range(ds, lo, hi, n_buckets=4).take_all(), key=key)
+        assert want and got == want, (lo, hi)
+        assert all(r["page"] >= 0 for r in got)
 
 
 def test_doc_split_across_corpus_rows(ray_session):
@@ -480,24 +473,6 @@ def test_unicode_digit_robustness(ray_session):
     got = extract(ds, n_buckets=4).to_pandas().iloc[0]
     assert spans_key(got["spans"]) == spans_key(want["spans"])
     assert not got["parse_failure"]
-
-
-def test_sharded_all_giant_shard(ray_session, tmp_path):
-    """A shard whose docs are ALL above the giant threshold completes with
-    an empty map-only manifest instead of crashing."""
-    import pyarrow.parquet as pq
-
-    from pdf_parser_ray.state import read_sharded_extraction, run_extraction_sharded
-    from pdf_parser_ray.synthgen import generate_corpus
-
-    tbl = generate_corpus(6, seed=5, max_pages=50)
-    f = str(tmp_path / "all.parquet")
-    pq.write_table(tbl, f)
-    out = str(tmp_path / "out")
-    s = run_extraction_sharded([f], out, files_per_shard=1, giant_span_threshold=1, n_buckets=4)
-    assert s["shards_completed_now"] == 1 and s["docs_parsed"] == 0
-    assert s["giant"]["docs_parsed"] == 6
-    assert read_sharded_extraction(out).count() == 6
 
 
 def test_full_record_equality_vs_oracle(ray_session, corpus_table, oracle):

@@ -97,30 +97,6 @@ def test_tolerant_reader_skips_junk(ray_session, tmp_path):
     assert read_jsonl_tolerant(str(gz)).count() == 2
 
 
-def test_stage_pipeline(ray_session):
-    import pyarrow as pa
-
-    from pdf_parser_ray.pipelines.steps import StagePipeline
-
-    pipe = StagePipeline()
-    pipe.add_step("double", lambda ds: ds.map_batches(
-        lambda b: b.set_column(0, "x", pa.compute.multiply(b["x"], 2)),
-        batch_format="pyarrow"))
-    pipe.add_step("boom", lambda ds: (_ for _ in ()).throw(RuntimeError("nope")))
-    pipe.add_step("add1", lambda ds: ds.map_batches(
-        lambda b: b.set_column(0, "x", pa.compute.add(b["x"], 1)),
-        batch_format="pyarrow"))
-    ds = ray.data.from_items([{"x": 3}])
-    out = pipe.run(ds).to_pandas()
-    # failing step recorded, pipeline continued: 3*2 + 1
-    assert out.x.iloc[0] == 7
-    assert "boom" in pipe.errors and "RuntimeError" in pipe.errors["boom"]
-    import pytest as _pytest
-
-    with _pytest.raises(RuntimeError):
-        pipe.run(ds, fail_fast=True)
-
-
 def test_run_reference_pipeline(ray_session, tmp_path):
     import os
 
@@ -143,22 +119,6 @@ def test_run_reference_pipeline(ray_session, tmp_path):
     )
 
 
-def test_stage_pipeline_lazy_step_error(ray_session):
-    """checkpoint_steps=True surfaces lazy UDF failures at the failing step
-    and falls back to the previous dataset."""
-    from pdf_parser_ray.pipelines.steps import StagePipeline
-
-    def bad_udf(batch):
-        raise RuntimeError("lazy boom")
-
-    pipe = StagePipeline()
-    pipe.add_step("lazy_bad", lambda ds: ds.map_batches(bad_udf))
-    ds = ray.data.from_items([{"x": 1}])
-    out = pipe.run(ds, checkpoint_steps=True)
-    assert "lazy_bad" in pipe.errors
-    assert out.to_pandas().x.iloc[0] == 1  # fell back to the input
-
-
 def test_rerun_reference_pipeline_overwrites(ray_session, tmp_path):
     from pdf_parser_ray.pipelines.reference_flow import run_reference_pipeline
     from pdf_parser_ray.synthgen import generate_corpus
@@ -169,72 +129,3 @@ def test_rerun_reference_pipeline_overwrites(ray_session, tmp_path):
     r2 = run_reference_pipeline(corpus, out, n_buckets=4)
     # second run must not double-count (Ray sinks otherwise accumulate files)
     assert r2["summary"]["n_docs"] == r1["summary"]["n_docs"] == 6
-
-
-def test_schema_declarations_plan_time_mismatch(ray_session):
-    import pyarrow as pa
-
-    from pdf_parser_ray.pipelines.steps import SchemaMismatchError, StagePipeline
-
-    s_ab = pa.schema([("a", pa.int64()), ("b", pa.string())])
-    s_ac = pa.schema([("a", pa.int64()), ("c", pa.string())])
-    pipe = StagePipeline()
-    pipe.add_step("one", lambda ds: ds, schema_out=s_ab)
-    # adjacent declared schemas disagree -> raises at ADD time (plan level)
-    import pytest as _pytest
-
-    with _pytest.raises(SchemaMismatchError):
-        pipe.add_step("two", lambda ds: ds, schema_in=s_ac)
-    # compatible declaration is accepted
-    pipe.add_step("two", lambda ds: ds, schema_in=s_ab)
-
-
-def test_schema_declarations_runtime_check(ray_session):
-    import pyarrow as pa
-    import pytest as _pytest
-    import ray.data
-
-    from pdf_parser_ray.pipelines.steps import SchemaMismatchError, StagePipeline
-
-    ds = ray.data.from_arrow(pa.table({"a": [1, 2], "b": ["x", "y"]}))
-    good = pa.schema([("a", pa.int64()), ("b", pa.string())])
-    bad = pa.schema([("a", pa.int64()), ("b", pa.int64())])  # wrong type
-
-    pipe = StagePipeline()
-    pipe.add_step("ok", lambda d: d, schema_in=good)
-    pipe.run(ds)  # known input schema validates cleanly
-
-    pipe2 = StagePipeline()
-    pipe2.add_step("typed", lambda d: d, schema_in=bad)
-    with _pytest.raises(SchemaMismatchError, match="type_changed=\\['b'\\]"):
-        pipe2.run(ds)
-    # schema violations raise even without fail_fast: wiring bugs never
-    # degrade-and-continue
-    pipe3 = StagePipeline()
-    pipe3.add_step("out_decl", lambda d: d, schema_out=bad)
-    with _pytest.raises(SchemaMismatchError):
-        pipe3.run(ds)
-
-
-def test_schema_check_respects_degrade_contract(ray_session):
-    """After an upstream step degrades, a declared schema_in mismatch on the
-    next step is the CONSEQUENCE of that failure — it must be recorded and
-    skipped, not raised as a wiring bug."""
-    import pyarrow as pa
-    import ray.data
-
-    from pdf_parser_ray.pipelines.steps import StagePipeline
-
-    ds = ray.data.from_arrow(pa.table({"a": [1, 2]}))
-    with_c = pa.schema([("a", pa.int64()), ("c", pa.string())])
-
-    def add_c_but_fail(d):
-        raise RuntimeError("transient")
-
-    pipe = StagePipeline()
-    pipe.add_step("enrich", add_c_but_fail, schema_out=with_c)
-    pipe.add_step("consume", lambda d: d, schema_in=with_c)
-    out = pipe.run(ds, fail_fast=False)
-    assert "enrich" in pipe.errors
-    assert "consume" in pipe.errors and "skipped" in pipe.errors["consume"]
-    assert out.to_pandas().a.tolist() == [1, 2]  # input passed through
