@@ -7,8 +7,9 @@ Ray-Data-first: the corpus is a table of interleaved text+media documents
 processed as a streaming ``ray.data.Dataset`` pipeline —
 
     read (lance|parquet)
-      -> map_batches(render_pages)                  # doc -> page rows, warm regex banks
-      -> groupby(bucket).map_groups(assemble_bucket) # THE shuffle: ordered reassembly
+      -> map_batches(_tag_buckets)                   # append bucket = hash(doc_id) % B
+      -> groupby(bucket).map_groups(assemble_bucket) # THE shuffle: corpus rows; render
+                                                     # + assemble each doc in its bucket
       -> write partitioned parquet (per-bucket checkpoints + lineage/metrics)
 
 Every extraction route runs ``stages.render_doc`` then

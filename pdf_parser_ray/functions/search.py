@@ -8,10 +8,13 @@ Arrow ``count_substring_regex`` prefilter per batch before the per-line scan.
 from __future__ import annotations
 
 import re
+from typing import TYPE_CHECKING
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data
+
+if TYPE_CHECKING:  # annotations only: importing ray.data costs about 1 s
+    import ray.data
 
 _TERM_CACHE: dict[str, re.Pattern] = {}
 

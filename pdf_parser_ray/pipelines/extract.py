@@ -5,9 +5,13 @@ Every route runs the same two per-document functions —
 one DOC_RESULT row) — and differs only in what sits between them:
 
     corpus (doc_id, spans)
-      -> map_batches(render_pages)                   # page-granular fan-out
-      -> groupby(bucket).map_groups(assemble_bucket) # ordered per-doc assembly
+      -> map_batches(_tag_buckets)                   # + bucket column
+      -> groupby(bucket).map_groups(assemble_bucket) # render + assemble per doc
       -> Dataset[DOC_RESULT]                         # all outputs, one row/doc
+
+The shuffle moves corpus rows (one per doc, or per fragment of a doc),
+never rendered page rows: render and assembly each run once per doc in one
+task, so a page-row fan-out would split no work and move a row per page.
 
 ``extract_fused`` is the no-shuffle fast path for when corpus rows are whole
 documents (the common read_lance layout): render + assemble inside one
@@ -21,7 +25,7 @@ caller materializes or (preferred) reads back a written extraction.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Collection, Optional
 
 import pyarrow as pa
 import ray.data
@@ -37,6 +41,7 @@ from pdf_parser_ray.stages.assemble_stage import assemble_bucket, assemble_doc_r
 from pdf_parser_ray.stages.render_stage import (
     DEFAULT_N_BUCKETS,
     bucket_of,
+    decode_spans,
     render_doc,
     render_pages,
 )
@@ -79,8 +84,8 @@ def _split_by_span_count(
 def page_rows(
     corpus_ds: ray.data.Dataset, n_buckets: int = DEFAULT_N_BUCKETS
 ) -> ray.data.Dataset:
-    """Stage 1: render per-page rows as elastic tasks (stateless — regex
-    banks warm at module import)."""
+    """Rendered per-page rows (``page_range``'s source) as elastic tasks
+    (stateless — regex banks warm at module import)."""
     return corpus_ds.map_batches(
         render_pages,
         fn_kwargs={"n_buckets": n_buckets},
@@ -89,16 +94,42 @@ def page_rows(
     )
 
 
+def _tag_buckets(
+    batch: pa.Table, n_buckets: int, skip: frozenset[int]
+) -> pa.Table:
+    """corpus batch -> (doc_id: string, spans, bucket: int32) rows, without
+    the rows of the ``skip`` buckets. The spans column passes through
+    as-is; doc_ids take their ``str`` form, the key every route buckets
+    and assembles by."""
+    ids = [str(d) for d in batch["doc_id"].to_pylist()]
+    bucket = pa.array([bucket_of(d, n_buckets) for d in ids], pa.int32())
+    out = pa.table(
+        {"doc_id": pa.array(ids, pa.string()), "spans": batch["spans"], "bucket": bucket}
+    )
+    if skip:
+        done = pa.array(sorted(skip), pa.int32())
+        out = out.filter(pa.compute.invert(pa.compute.is_in(bucket, value_set=done)))
+    return out
+
+
 def _per_bucket(
     corpus_ds: ray.data.Dataset,
     n_buckets: int,
     fn: Callable[..., pa.Table],
+    skip_buckets: Collection[int] = (),
     **fn_kwargs: Any,
 ) -> ray.data.Dataset:
     """The shuffled plan behind ``extract`` and ``state.run_extraction``:
-    page rows -> groupby(bucket) -> ``fn(group, **fn_kwargs)`` per bucket."""
+    corpus rows tagged with their bucket (rows of ``skip_buckets`` dropped)
+    -> groupby(bucket) -> ``fn(group, **fn_kwargs)`` per bucket, which
+    renders and assembles the bucket's docs in-process."""
     return (
-        page_rows(corpus_ds, n_buckets)
+        corpus_ds.map_batches(
+            _tag_buckets,
+            fn_kwargs={"n_buckets": n_buckets, "skip": frozenset(skip_buckets)},
+            batch_format="pyarrow",
+            batch_size=None,
+        )
         .groupby("bucket")
         .map_groups(fn, fn_kwargs=fn_kwargs, batch_format="pyarrow")
     )
@@ -151,7 +182,7 @@ def extract_fused(
                 render_doc(doc_id, spans, bucket_of(doc_id, n_buckets)),
                 strip_boilerplate,
             )
-            for doc_id, spans in zip(ids, batch["spans"].to_pylist())
+            for doc_id, spans in zip(ids, decode_spans(batch["spans"]))
         ]
         return pa.Table.from_pylist(out, schema=DOC_RESULT_SCHEMA)
 
@@ -252,11 +283,11 @@ def extract_hybrid(
 
     Documents at or below ``giant_span_threshold`` spans are whole rows and
     process in place (``extract_fused`` — map-only, no data movement);
-    larger documents fan out to page rows and go through the
-    groupby(bucket) reassembly shuffle. At corpus scale this shuffles the
-    heavy tail (a few percent of bytes) instead of the whole corpus —
-    the same reason the reference's PageManager dict (page_manager.py:20-27)
-    never leaves one process for a single document.
+    larger documents go through ``extract``'s groupby(bucket) shuffle as
+    their corpus rows and render inside their bucket task. At corpus
+    scale this shuffles the heavy tail (a few percent of bytes) instead of
+    the whole corpus — the same reason the reference's PageManager dict
+    (page_manager.py:20-27) never leaves one process for a single document.
 
     The plan holds only the size classes the corpus holds. One census pass
     over the span counts (run eagerly, when this is called) counts the rows

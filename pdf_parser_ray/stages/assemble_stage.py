@@ -1,18 +1,19 @@
-"""Stage 2: per-doc assembly, after the groupby shuffle or in-process.
+"""Stage 2: per-doc assembly, in a bucket task or in-process.
 
 :func:`assemble_doc_rows` is the ONE per-document assembly step of every
 extraction route: :func:`assemble_bucket` applies it per doc inside a
 ``map_groups`` bucket, and ``extract_fused`` calls it directly on the rows
 ``render_doc`` just produced.
 
-The shuffled routes group page rows by ``bucket`` (= fnv1a_32(doc_id) %
-n_buckets) — the coarsened form of the north rule's groupby(doc_id)
-aggregate-sort shuffle: every row of a document lands in exactly one group,
-and the key cardinality stays bounded so the sort-based shuffle moves fewer,
-larger partitions. Inside a group the assembler re-groups by doc_id, sorts
-each doc's rows by page, and runs the order-dependent doc-level pipeline
-(metadata -> TOC -> sections -> output spans) from
-:func:`pdf_parser_ray.doclogic.pipeline.assemble_document`.
+The shuffled routes group CORPUS rows (doc_id, spans, bucket) by
+``bucket`` (= fnv1a_32(doc_id) % n_buckets) — the coarsened form of the
+north rule's groupby(doc_id) aggregate-sort shuffle: every fragment of a
+document lands in exactly one group, and the key cardinality stays bounded
+so the sort-based shuffle moves fewer, larger partitions. Inside a group
+the assembler takes the docs in doc_id order, renders each fragment of a
+doc, orders the doc's page rows by (page, page_order), and runs the
+order-dependent doc-level pipeline (metadata -> TOC -> sections -> output
+spans) from :func:`pdf_parser_ray.doclogic.pipeline.assemble_document`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import pyarrow as pa
 
 from pdf_parser_ray.doclogic.pipeline import assemble_document
 from pdf_parser_ray.schemas import DOC_RESULT_SCHEMA
+from pdf_parser_ray.stages.render_stage import decode_spans, render_doc
 
 
 def doc_result_to_row(result: dict[str, Any], bucket: int, parse_failure: bool) -> dict[str, Any]:
@@ -115,27 +117,34 @@ def assemble_doc_rows(
 
 
 def assemble_bucket(group: pa.Table, strip_boilerplate: bool = True) -> pa.Table:
-    """map_groups function over one bucket group of page rows.
+    """map_groups function over one bucket group of corpus rows
+    (doc_id, spans, bucket) -> one DOC_RESULT row per doc_id.
 
     Memory shape: the group stays an Arrow table (compact, possibly
-    memory-mapped); rows are converted to Python dicts one DOCUMENT at a
-    time via sorted slices, so peak Python-heap usage is one doc's pages
+    memory-mapped); spans are decoded one DOCUMENT at a time from the
+    doc's row slice, so peak Python-heap usage is one doc's spans and pages
     plus one result row — not the whole bucket (which at corpus scale is
-    corpus_size / n_buckets)."""
+    corpus_size / n_buckets). Each corpus row of a fragmented doc renders
+    on its own; the doc's page rows are then ordered by (page, page_order)
+    whichever fragment the group holds first."""
     if group.num_rows == 0:
         return pa.Table.from_pylist([], schema=DOC_RESULT_SCHEMA)
-    # page_order breaks ties between duplicate page numbers the same way
-    # the oracle's stable sort over offset-ordered pages does
-    sort_keys = [("doc_id", "ascending"), ("page", "ascending")]
-    if "page_order" in group.column_names:
-        sort_keys.append(("page_order", "ascending"))
-    group = group.take(pa.compute.sort_indices(group, sort_keys=sort_keys))
-    doc_ids = group["doc_id"].to_pylist()
+    bucket = group["bucket"][0].as_py()  # a group holds one bucket
+    group = group.take(pa.compute.sort_indices(group["doc_id"]))  # stable
+    ids = group["doc_id"].to_pylist()
     out = []
     start = 0
-    for i in range(1, len(doc_ids) + 1):
-        if i == len(doc_ids) or doc_ids[i] != doc_ids[start]:
-            rows = group.slice(start, i - start).to_pylist()
-            out.append(assemble_doc_rows(str(doc_ids[start]), rows, strip_boilerplate))
+    for i in range(1, len(ids) + 1):
+        if i == len(ids) or ids[i] != ids[start]:
+            doc_id = ids[start]
+            rows = [
+                row
+                for fragment in decode_spans(group["spans"].slice(start, i - start))
+                for row in render_doc(doc_id, fragment, bucket)
+            ]
+            # page_order breaks ties between duplicate page numbers the
+            # same way the oracle's stable sort over offset-ordered pages does
+            rows.sort(key=lambda r: (r["page"], r["page_order"]))
+            out.append(assemble_doc_rows(doc_id, rows, strip_boilerplate))
             start = i
     return pa.Table.from_pylist(out, schema=DOC_RESULT_SCHEMA)

@@ -30,7 +30,7 @@ import ray.data
 from pdf_parser_ray.schemas import PARTITION_METRICS_SCHEMA
 from pdf_parser_ray.pipelines.extract import _per_bucket
 from pdf_parser_ray.stages.assemble_stage import assemble_bucket
-from pdf_parser_ray.stages.render_stage import DEFAULT_N_BUCKETS, bucket_of
+from pdf_parser_ray.stages.render_stage import DEFAULT_N_BUCKETS
 from pdf_parser_ray.state.fragments import write_json_atomic
 
 MANIFEST_DIR = "_manifest"
@@ -115,22 +115,13 @@ def run_extraction(
         for b in completed_buckets(output_dir):
             os.remove(_manifest_path(output_dir, b))
 
-    ds = corpus_ds
-    if done:
-        done_snapshot = frozenset(done)
-        nb = n_buckets
-
-        def drop_done(batch: pa.Table) -> pa.Table:
-            keep = [
-                bucket_of(str(d), nb) not in done_snapshot
-                for d in batch["doc_id"].to_pylist()
-            ]
-            return batch.filter(pa.array(keep))
-
-        ds = ds.map_batches(drop_done, batch_format="pyarrow")
-
     metrics = _per_bucket(  # tiny: one row per bucket
-        ds, n_buckets, write_bucket, output_dir=output_dir, strip_boilerplate=strip_boilerplate
+        corpus_ds,
+        n_buckets,
+        write_bucket,
+        skip_buckets=done,
+        output_dir=output_dir,
+        strip_boilerplate=strip_boilerplate,
     ).to_pandas()
 
     return {

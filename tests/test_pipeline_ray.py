@@ -549,3 +549,230 @@ def test_extract_hybrid_rejects_fragmented_corpus(ray_session):
     # clean corpus passes the strict check
     ok = ray.data.from_items([{"doc_id": "a", "spans": spans}])
     assert_whole_doc_rows(ok)
+
+
+# ---- the span decoder and the corpus-row shuffle ----------------------------
+
+
+def _assert_decodes_like_pylist(spans):
+    from pdf_parser_ray.stages.render_stage import decode_spans
+
+    got, want = decode_spans(spans), spans.to_pylist()
+    assert got == want
+    assert repr(got) == repr(want)  # key order and int/None types too
+
+
+def test_decode_spans_edge_cases():
+    """decode_spans equals to_pylist() on null and empty lists, null
+    structs, null fields, non-ASCII text, a slice with a non-zero offset
+    and a multi-chunk column."""
+    from pdf_parser_ray.schemas import CORPUS_SCHEMA
+
+    def span(kind="text", text="t", media_ref="", offset=0):
+        return {"kind": kind, "text": text, "media_ref": media_ref, "offset": offset}
+
+    rows = [
+        [span(offset=0), span("page_break", "2", offset=1)],
+        None,
+        [],
+        [None],
+        [span(kind=None), span(text=None), span(media_ref=None), span(offset=None)],
+        [span(text="é文 — ßⅤ", offset=3), None, span("image", None, "img/ä.png", 4)],
+        [],
+        None,
+        [span(offset=7)],
+    ]
+    table = pa.Table.from_pylist(
+        [{"doc_id": str(i), "spans": s} for i, s in enumerate(rows)], schema=CORPUS_SCHEMA
+    )
+    spans = table["spans"].combine_chunks()
+    _assert_decodes_like_pylist(spans)
+    for start in range(len(rows)):
+        for length in range(len(rows) - start + 1):
+            _assert_decodes_like_pylist(spans.slice(start, length))
+    _assert_decodes_like_pylist(
+        pa.chunked_array([spans.slice(0, 3), spans.slice(3, 0), spans.slice(3)])
+    )
+    _assert_decodes_like_pylist(pa.chunked_array([], spans.type))
+    # a null list whose offsets still cover child values: they are skipped
+    masked = pa.ListArray.from_arrays(
+        pa.array([0, 1, 2, 2], pa.int32()),
+        spans.values.slice(0, 2),
+        mask=pa.array([False, True, False]),
+    )
+    assert masked.to_pylist()[1] is None
+    _assert_decodes_like_pylist(masked)
+    # a spans column that is not a list falls back to to_pylist()
+    _assert_decodes_like_pylist(pa.array([None, None], pa.null()))
+    # other struct shapes: four fields reordered with int64 offsets (what
+    # ray.data.from_items may infer), and three fields one of them a float
+    for fields in (
+        [("offset", pa.int64()), ("text", pa.string()), ("kind", pa.string()),
+         ("media_ref", pa.string())],
+        [("kind", pa.string()), ("text", pa.large_string()), ("score", pa.float64())],
+    ):
+        other = pa.array(
+            [
+                None if r is None else [
+                    None if sp is None else {f: sp.get(f, 0.5) for f, _ in fields}
+                    for sp in r
+                ]
+                for r in rows
+            ],
+            pa.list_(pa.struct(fields)),
+        )
+        _assert_decodes_like_pylist(other)
+        _assert_decodes_like_pylist(other.slice(3, 4))
+
+
+def test_decode_spans_fuzz():
+    """Seeded fuzz: random slices and chunkings of _route_corpus() batches
+    decode exactly as to_pylist() does."""
+    import random
+
+    table, _ = _route_corpus()
+    spans = table["spans"].combine_chunks()
+    rng = random.Random(20261019)
+    n = len(spans)
+    for _ in range(200):
+        start = rng.randrange(n + 1)
+        piece = spans.slice(start, rng.randrange(n - start + 1))
+        cuts = sorted(rng.randrange(len(piece) + 1) for _ in range(rng.randrange(4)))
+        bounds = [0, *cuts, len(piece)]
+        chunks = [piece.slice(a, b - a) for a, b in zip(bounds, bounds[1:])]
+        _assert_decodes_like_pylist(piece)
+        _assert_decodes_like_pylist(pa.chunked_array(chunks, spans.type))
+
+
+def _fragments(doc, parts):
+    """``doc``'s spans cut at page breaks into ``parts`` page-aligned
+    fragment rows, in document order."""
+    spans = doc["spans"]
+    breaks = [i for i, s in enumerate(spans) if s["kind"] == "page_break"]
+    assert len(breaks) > parts
+    cuts = [breaks[len(breaks) * k // parts] for k in range(1, parts)]
+    bounds = [0, *cuts, len(spans)]
+    return [
+        {"doc_id": doc["doc_id"], "spans": spans[a:b]}
+        for a, b in zip(bounds, bounds[1:])
+    ]
+
+
+def test_fragments_through_checkpoint_runner(ray_session, tmp_path):
+    """run_extraction merges a doc's fragments like extract() does when the
+    fragments sit in different read blocks in reverse row order, when one
+    fragment is empty, and when one fragment fails to render; it still
+    does after a resume. The clean two-fragment doc equals run_document
+    on its concatenated spans, the doc with a failed fragment equals
+    run_document on its other fragment, flagged as a parse failure."""
+    from pdf_parser_ray.schemas import CORPUS_SCHEMA
+    from pdf_parser_ray.stages import doc_result_to_row
+    from pdf_parser_ray.stages.render_stage import bucket_of
+    from pdf_parser_ray.synthgen import generate_document
+
+    rows = _fragmented_corpus()
+    whole, (clean_a, clean_b) = rows[:-2], rows[-2:]
+    docs = (generate_document(i, max_pages=40) for i in range(1000, 1100))
+    multi = [d for d in docs if sum(s["kind"] == "page_break" for s in d["spans"]) >= 4]
+    empty_a, empty_b = _fragments(multi[0], 2)
+    empty_c = {"doc_id": multi[0]["doc_id"], "spans": []}
+    bad_a, _ = _fragments(multi[1], 2)
+    # a null offset next to an int one cannot be sorted: render raises
+    bad_b = {"doc_id": multi[1]["doc_id"], "spans": [
+        {"kind": "text", "text": "a", "media_ref": "", "offset": None},
+        {"kind": "text", "text": "b", "media_ref": "", "offset": 1},
+    ]}
+    blocks = [
+        [clean_b, empty_c, *whole[:2]],
+        [*whole[2:], bad_b, empty_a],
+        [clean_a, empty_b, bad_a],
+    ]
+
+    def make():
+        return ray.data.from_arrow(
+            [pa.Table.from_pylist(b, schema=CORPUS_SCHEMA) for b in blocks]
+        )
+
+    out = str(tmp_path / "ckpt")
+    s1 = run_extraction(make(), out, n_buckets=4)
+    want = _by_doc(extract(make(), n_buckets=4))
+    assert len(want) == len(whole) + 3 == s1["docs_parsed"]
+    _assert_rows_equal({"run_extraction": read_extraction(out)}, want)
+    assert {r["doc_id"] for r in want if r["parse_failure"]} == {bad_b["doc_id"]}
+
+    # the failed fragment flags its doc; the doc's other fragment still
+    # assembles, as it did when each fragment rendered in a render task
+    for fragments, failed in (
+        ((clean_a, clean_b), False),
+        ((empty_a, empty_b, empty_c), False),
+        ((bad_a,), True),
+    ):
+        doc_id = fragments[0]["doc_id"]
+        spans = [s for f in fragments for s in f["spans"]]
+        oracle_row = doc_result_to_row(
+            run_document(doc_id, spans), bucket_of(doc_id, 4), failed
+        )
+        got = next(r for r in want if r["doc_id"] == doc_id)
+        for col, value in oracle_row.items():
+            assert got[col] == value, (doc_id, col)
+
+    for b in sorted(completed_buckets(out))[:2]:
+        os.remove(os.path.join(out, "_manifest", f"bucket_{b}.json"))
+    s2 = run_extraction(make(), out, n_buckets=4)
+    assert s2["buckets_completed_now"] == 2
+    _assert_rows_equal({"resumed": read_extraction(out)}, want)
+
+
+def test_fragment_pages_ordered_by_page_then_page_order(ray_session):
+    """A page number repeated across fragments (outside the precondition)
+    still assembles deterministically: the doc's page rows are ordered by
+    (page, page_order) whichever fragment row the bucket sees first."""
+
+    def pb(n, offset):
+        return {"kind": "page_break", "text": str(n), "media_ref": "", "offset": offset}
+
+    def text(t, offset):
+        return {"kind": "text", "text": t, "media_ref": "", "offset": offset}
+
+    a = {"doc_id": "dup", "spans": [pb(4, 0), text("four", 1), pb(5, 2), text("five a", 3)]}
+    b = {"doc_id": "dup", "spans": [pb(5, 10), text("five b", 11)]}
+    got = [
+        extract(ray.data.from_items(order).repartition(2), n_buckets=4).take_all()
+        for order in ([a, b], [b, a])
+    ]
+    assert got[0] == got[1]
+    texts = [s["text"] for s in got[0][0]["spans"]]
+    assert texts.index("five b") < texts.index("five a"), texts
+
+
+def test_extract_shuffles_corpus_rows(ray_session):
+    """extract()'s bucket shuffle moves corpus rows, not rendered page
+    rows: the executed plan has no render_pages operator and its Sort
+    outputs exactly the corpus's rows (a fragmented doc counts twice)."""
+    import re
+
+    rows = _fragmented_corpus()
+    ds = extract(ray.data.from_items(rows).repartition(3), n_buckets=8).materialize()
+    assert ds.count() == len(rows) - 1
+    stats = ds.stats()
+    assert "render_pages" not in stats, stats
+    sort = re.search(r"^Operator \d+ Sort:.*?(?=^Operator |\Z)", stats, re.S | re.M)[0]
+    totals = re.findall(r"Output num rows per block: .*?(\d+) total", sort)
+    assert totals and {int(t) for t in totals} == {len(rows)}, sort
+
+
+def test_cli_import_skips_ray_data():
+    """The bucket hash and the CLI's argument parsing import no ray.data
+    (about a second of import on each process that only needs them)."""
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, pdf_parser_ray.stages.render_stage, pdf_parser_ray.__main__; "
+        "assert 'ray.data' not in sys.modules"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
