@@ -58,9 +58,6 @@ def _sf_label(sf_dir: str) -> str:
     return base[2:] if base.startswith("sf") else base
 
 
-GIANT_SPAN_THRESHOLD = 32
-
-
 def _prepare_corpus() -> tuple[list[str], int]:
     """Materialize the lifted span corpus to /tmp parquet — input prep,
     untimed, cached across runs keyed on sf+mult. Returns its files and
@@ -111,9 +108,10 @@ def _prepare_planted_giant(n_pages: int = 28_000) -> str:
 
 
 def run_headline(plant_giant: bool = False) -> dict:
-    """Flagship: read span corpus -> ``extract_hybrid`` (whole-doc rows map
-    in place, the giant-doc tail goes through the groupby(bucket)
-    reassembly shuffle) -> parquet results.
+    """Flagship: read span corpus -> ``extract_hybrid`` with its defaults
+    (one plan for the whole corpus: the fused map, or the groupby(bucket)
+    reassembly shuffle when one read block holds too many giant docs'
+    spans) -> parquet results.
 
     ``plant_giant`` additionally adds the ~100k-span pathological document
     to the corpus file list (the --skewed stress)."""
@@ -130,11 +128,7 @@ def run_headline(plant_giant: bool = False) -> dict:
         raise SystemExit("no corpus files prepared")
 
     def run(read) -> ray.data.Dataset:
-        return extract_hybrid(
-            read,
-            n_buckets=max(NUM_CPUS * 4, 32),
-            giant_span_threshold=GIANT_SPAN_THRESHOLD,
-        )
+        return extract_hybrid(read, n_buckets=max(NUM_CPUS * 4, 32))
 
     # untimed warm-up: page cache, worker imports
     run(lambda: ray.data.read_parquet(files[0]).limit(64)).count()
@@ -412,7 +406,7 @@ def main() -> None:
     head = run_headline(plant_giant="--plant-giant" in sys.argv)
     line = {
         "metric": "flagship extraction end-to-end (span corpus -> skew-aware "
-        "map + giant-doc groupby reassembly shuffle -> parquet)",
+        "extract_hybrid, one plan per corpus -> parquet)",
         "value": round(head["sec"], 3),
         "unit": "sec",
         "docs_per_sec": round(head["docs_per_sec"], 2),
@@ -443,10 +437,13 @@ def main() -> None:
 def run_skew_stress() -> None:
     """The skew claim, measured: the same mult-64 headline with and without
     one planted ~100k-span document, fresh process each (sequential, so the
-    box is never shared). The hybrid path's giant-doc tail runs in one task
-    while the small-doc fleet proceeds — PASS is a ratio within 1.5x (the
-    variance band; single-sample swings on this box reach 2-3x, which is
-    why both runs are median-of-3)."""
+    box is never shared). The planted giant joins the file list as one
+    more read block, so ``extract_hybrid`` keeps the fused map unless that
+    block's spans times the CPUs exceed the corpus's; in the map the giant
+    renders alone in its slice of one task while the other blocks
+    proceed — PASS is a ratio within 1.5x (the variance band;
+    single-sample swings on this box reach 2-3x, which is why both runs
+    are median-of-3)."""
 
     def child(plant: bool) -> dict:
         env = dict(

@@ -17,6 +17,9 @@ task, so a page-row fan-out would split no work and move a row per page.
 documents (the common read_lance layout): render + assemble inside one
 ``map_batches`` — identical rows, verified equal in tests.
 
+``extract_hybrid`` is the flagship: it measures the corpus once and runs
+exactly one of those two plans over all of it.
+
 Projections (:func:`toc_table` etc.) turn the combined result into the
 reference's four logical output tables (SURVEY.md §1.2) as streaming
 transforms; consuming several of them re-executes the upstream unless the
@@ -47,38 +50,33 @@ from pdf_parser_ray.stages.render_stage import (
 )
 
 # whole documents per extract_fused batch: enough that Ray's per-batch
-# cost is small next to the doclogic work. The hybrid flagship sends only
-# docs of at most giant_span_threshold spans here, which bounds a batch's heap.
+# cost is small next to the doclogic work
 FUSED_BATCH_DOCS = 256
+# spans extract_fused decodes and renders at a time: bounds a batch task's
+# heap when giant docs reach the map; a larger doc is a slice of its own
+FUSED_CHUNK_SPANS = 65_536
 # documents per render_pages batch: bounds the page rows one task holds, so
 # a run of multi-hundred-page docs can't blow a task's heap
 RENDER_BATCH_DOCS = 32
 
 
 def _span_counts(batch: pa.Table) -> pa.Array:
-    """Spans per corpus row — the size-class measure. fill_null: a null
-    ``spans`` cell counts 0 and lands in the small class (producing an
-    empty/failure row downstream) rather than vanishing from both —
-    Table.filter drops null-mask rows."""
+    """Spans per corpus row; a null ``spans`` cell counts 0."""
     return pa.compute.list_value_length(batch["spans"]).fill_null(0)
 
 
-def _split_by_span_count(
-    ds: ray.data.Dataset, threshold: int, giant: bool
-) -> ray.data.Dataset:
-    """extract_hybrid's size-class filter: keep docs whose span count is
-    above (``giant=True``) / at-or-below the threshold."""
-
-    def keep(batch: pa.Table) -> pa.Table:
-        n = _span_counts(batch)
-        mask = (
-            pa.compute.greater(n, threshold)
-            if giant
-            else pa.compute.less_equal(n, threshold)
-        )
-        return batch.filter(mask)
-
-    return ds.map_batches(keep, batch_format="pyarrow")
+def _span_slices(counts: list[int], cap: int) -> list[tuple[int, int]]:
+    """Consecutive ``[start, stop)`` row ranges holding at most ``cap``
+    spans each; a row above ``cap`` is a range of its own."""
+    out, start, total = [], 0, 0
+    for i, n in enumerate(counts):
+        if i > start and total + n > cap:
+            out.append((start, i))
+            start, total = i, 0
+        total += n
+    if counts:
+        out.append((start, len(counts)))
+    return out
 
 
 def page_rows(
@@ -149,8 +147,8 @@ def extract(
     (tests/test_pipeline_ray.py::test_doc_split_across_corpus_rows).
     Precondition on fragments: page-aligned splits carrying global page
     numbers, with no page number repeated ACROSS fragments (within one
-    fragment duplicates are ordered by page_order). ``extract_fused`` /
-    the small branch of ``extract_hybrid`` require whole-doc rows."""
+    fragment duplicates are ordered by page_order). ``extract_fused``
+    requires whole-doc rows."""
     return _per_bucket(
         corpus_ds, n_buckets, assemble_bucket, strip_boilerplate=strip_boilerplate
     )
@@ -162,7 +160,8 @@ def extract_fused(
     strip_boilerplate: bool = True,
 ) -> ray.data.Dataset:
     """No-shuffle fast path: whole-document rows rendered and assembled
-    in-process, one stage."""
+    in-process, one stage. Each batch is decoded, rendered and assembled
+    in slices of at most ``FUSED_CHUNK_SPANS`` spans."""
 
     def fused(batch: pa.Table) -> pa.Table:
         ids = [str(d) for d in batch["doc_id"].to_pylist()]
@@ -176,15 +175,21 @@ def extract_fused(
                 "check catches adjacent fragments; use "
                 "assert_whole_doc_rows() for a corpus-wide guarantee."
             )
-        out = [
-            assemble_doc_rows(
-                doc_id,
-                render_doc(doc_id, spans, bucket_of(doc_id, n_buckets)),
-                strip_boilerplate,
-            )
-            for doc_id, spans in zip(ids, decode_spans(batch["spans"]))
-        ]
-        return pa.Table.from_pylist(out, schema=DOC_RESULT_SCHEMA)
+        parts = []
+        for start, stop in _span_slices(
+            _span_counts(batch).to_pylist(), FUSED_CHUNK_SPANS
+        ):
+            spans = decode_spans(batch["spans"].slice(start, stop - start))
+            out = [
+                assemble_doc_rows(
+                    doc_id,
+                    render_doc(doc_id, doc_spans, bucket_of(doc_id, n_buckets)),
+                    strip_boilerplate,
+                )
+                for doc_id, doc_spans in zip(ids[start:stop], spans)
+            ]
+            parts.append(pa.Table.from_pylist(out, schema=DOC_RESULT_SCHEMA))
+        return pa.concat_tables(parts) if parts else DOC_RESULT_SCHEMA.empty_table()
 
     return corpus_ds.map_batches(
         fused, batch_format="pyarrow", batch_size=FUSED_BATCH_DOCS
@@ -253,22 +258,21 @@ def assert_whole_doc_rows(ds: ray.data.Dataset, id_col: str = "doc_id") -> None:
 
 
 def _size_census(ds: ray.data.Dataset, threshold: int) -> tuple[int, int]:
-    """(rows above ``threshold`` spans, rows at or below it) in one pass —
-    the _split_by_span_count law, counted instead of filtered."""
+    """(the most spans one read block holds in rows above ``threshold``
+    spans, the corpus's total spans), from one pass over the span lengths."""
 
-    def count(batch: pa.Table) -> pa.Table:
-        giant = pa.compute.sum(pa.compute.greater(_span_counts(batch), threshold))
-        return pa.table(
-            {"giant": [giant.as_py() or 0], "rows": [batch.num_rows]}
-        )
+    def count(block: pa.Table) -> pa.Table:
+        n = _span_counts(block)
+        giant = pa.compute.if_else(pa.compute.greater(n, threshold), n, 0)
+        sums = [pa.compute.sum(c, min_count=0).as_py() for c in (giant, n)]
+        return pa.table({"giant": sums[:1], "spans": sums[1:]})
 
     parts = (
         ds.select_columns(["spans"])
-        .map_batches(count, batch_format="pyarrow")
-        .take_all()  # one row per batch
+        .map_batches(count, batch_format="pyarrow", batch_size=None)
+        .take_all()  # one row per read block
     )
-    giant = sum(r["giant"] for r in parts)
-    return giant, sum(r["rows"] for r in parts) - giant
+    return max((r["giant"] for r in parts), default=0), sum(r["spans"] for r in parts)
 
 
 def extract_hybrid(
@@ -279,51 +283,36 @@ def extract_hybrid(
     strict_fragment_check: bool = False,
     on_fragments: str = "raise",
 ) -> ray.data.Dataset:
-    """Skew-aware flagship: shuffle ONLY what must move.
+    """Skew-aware flagship: one plan for the whole corpus.
 
-    Documents at or below ``giant_span_threshold`` spans are whole rows and
-    process in place (``extract_fused`` — map-only, no data movement);
-    larger documents go through ``extract``'s groupby(bucket) shuffle as
-    their corpus rows and render inside their bucket task. At corpus
-    scale this shuffles the heavy tail (a few percent of bytes) instead of
-    the whole corpus — the same reason the reference's PageManager dict
-    (page_manager.py:20-27) never leaves one process for a single document.
-
-    The plan holds only the size classes the corpus holds. One census pass
-    over the span counts (run eagerly, when this is called) counts the rows
-    on each side of the threshold, and only non-empty branches are built:
-    a corpus without giants is ``extract_fused`` alone — no Sort, no union
-    — and one of only giants is ``extract`` alone. Only when both classes
-    hold rows is each branch a size-filtered read of the source, and the
-    two are unioned. The census is one more scan of the source: on a
-    4-CPU VM it cost a 600-doc corpus with 6% giants about 11% of its
-    wall time, and saved a 7,200-doc corpus without giants about a third.
+    The plan is ``extract_fused`` (map-only, no data movement) unless one
+    read block would be the map's critical path: when the heaviest block's
+    spans in rows above ``giant_span_threshold``, times the session's CPUs,
+    exceed the corpus's total spans (one census pass, run eagerly when this
+    is called), the corpus runs through ``extract()``, whose groupby(bucket)
+    shuffle scatters those giants over tasks by hash. Either way a doc is
+    rendered and assembled inside one task, as the reference's PageManager
+    dict (page_manager.py:20-27) never leaves one process for a document.
 
     ``corpus_factory``: a zero-arg callable returning the corpus Dataset,
-    or a Dataset. It is called once: the strict/route id-count pass, the
-    census and every branch all branch lazily from that one Dataset, so a
-    ``read_parquet`` plans its read (file listing, metadata, sampling)
-    once. Each pass still executes the upstream, i.e. scans the source.
+    or a Dataset. It is called once: the id-count pass, the census and the
+    plan all branch lazily from that one Dataset, so a ``read_parquet``
+    plans its read (file listing, metadata, sampling) once. Each pass still
+    executes the upstream, i.e. scans the source.
 
-    REQUIRES whole-document rows: the size filter classifies per ROW, so a
-    document fragmented across corpus rows would have its fragments
-    assembled independently (duplicate doc_id results). Enforcement:
-    extract_fused always raises on a duplicate doc_id within a batch (free,
-    catches adjacent fragments, the common writer pattern), and
+    The fused map REQUIRES whole-document rows (a fragmented doc's
+    fragments would be assembled independently into duplicate doc_id
+    rows). extract_fused always raises on a duplicate doc_id within a batch
+    (free, catches adjacent fragments, the common writer pattern), and
     ``on_fragments`` picks the corpus-wide policy:
 
     - ``"raise"`` (default): with ``strict_fragment_check=True``, run the
       exact distributed id-count pass (:func:`fragmented_doc_ids`) and
       fail loudly before any wrong row is produced.
-    - ``"route"``: self-heal — ALWAYS runs the census (a routing request
-      without it would silently emit duplicate doc_id rows): the
-      fragmented doc_ids (at 100 TB, writers WILL split giant documents
-      across storage blocks) detour through :func:`extract`, whose
-      groupby merges fragments; whole-doc rows keep the map-only fast
-      path. Output is identical to running the whole corpus through
-      ``extract()``. The fragmented id set broadcasts via ray.put — it is
-      the giant-doc tail (bounded fraction of docs), never corpus-sized;
-      a corpus fragmented wholesale belongs on ``extract()``.
+    - ``"route"``: always run the id-count pass; a corpus holding any
+      fragmented doc (at 100 TB, writers WILL split giant documents across
+      storage blocks) runs through :func:`extract`, whose groupby merges
+      fragments.
     """
 
     if on_fragments not in ("raise", "route"):
@@ -332,53 +321,16 @@ def extract_hybrid(
         )
     corpus = corpus_factory() if callable(corpus_factory) else corpus_factory
 
-    frag_ref = None
     if on_fragments == "route":
-        # routing implies the census — a routing request without the exact
-        # id-count pass would silently produce duplicate doc_id rows
-        frag_ids = sorted(
-            r["doc_id"]
-            for r in fragmented_doc_ids(corpus).select_columns(["doc_id"]).take_all()
-        )
-        if frag_ids:
-            frag_ref = ray.put(pa.array(frag_ids, pa.string()))
+        if fragmented_doc_ids(corpus).limit(1).take_all():
+            return extract(corpus, n_buckets, strip_boilerplate)
     elif strict_fragment_check:
         assert_whole_doc_rows(corpus)
 
-    # fragment rows count too: a class holding only fragments builds a
-    # branch that yields no rows, never drops one that holds whole docs
-    n_giant, n_small = _size_census(corpus, giant_span_threshold)
-
-    def only(ds: ray.data.Dataset, fragmented: bool) -> ray.data.Dataset:
-        if frag_ref is None:
-            return ds
-
-        def f(batch: pa.Table, *, _ref=frag_ref) -> pa.Table:
-            members = ray.get(_ref)  # plasma: one copy per node
-            ids = pa.compute.cast(batch["doc_id"], pa.string())
-            mask = pa.compute.is_in(ids, value_set=members)
-            if not fragmented:
-                mask = pa.compute.invert(mask)
-            return batch.filter(mask)
-
-        return ds.map_batches(f, batch_format="pyarrow")
-
-    def whole_rows(giant: bool) -> ray.data.Dataset:
-        ds = corpus
-        if n_giant and n_small:
-            ds = _split_by_span_count(ds, giant_span_threshold, giant)
-        return only(ds, False)
-
-    branches = []
-    if n_small:
-        branches.append(extract_fused(whole_rows(False), n_buckets, strip_boilerplate))
-    if n_giant:
-        branches.append(extract(whole_rows(True), n_buckets, strip_boilerplate))
-    if frag_ref is not None:
-        branches.append(extract(only(corpus, True), n_buckets, strip_boilerplate))
-    if not branches:  # an empty corpus
-        branches.append(extract_fused(corpus, n_buckets, strip_boilerplate))
-    return branches[0].union(*branches[1:]) if len(branches) > 1 else branches[0]
+    heaviest, total = _size_census(corpus, giant_span_threshold)
+    if heaviest * ray.cluster_resources()["CPU"] > total:
+        return extract(corpus, n_buckets, strip_boilerplate)
+    return extract_fused(corpus, n_buckets, strip_boilerplate)
 
 
 # ---- projections to the reference's logical output tables -----------------

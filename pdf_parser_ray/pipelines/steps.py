@@ -62,9 +62,9 @@ def configure_context() -> Any:
 
     Per-operator resource reservation is always off. Ray Data reserves a
     share of the box (ratio 0.5) for each operator of a multi-operator plan,
-    so the CPU-bound map of every plan this engine builds — the hybrid
-    union, a map unioned with a materialized dataset, run_extraction's
-    groupby — ran about one task at a time next to an idle or empty
+    so the CPU-bound map of every multi-operator plan this engine builds —
+    a map unioned with a materialized dataset, run_extraction's groupby —
+    ran about one task at a time next to an idle or empty
     all-to-all. On a 4-CPU VM turning it off took the checkpointed
     run_extraction (600 skewed docs, cold run + resume) from a median of
     148 to 295 docs/s over eight seeds, with equal outputs, and raised the

@@ -4,6 +4,7 @@ Layout under ``output_dir``::
 
     bucket=<i>/data.parquet      # DOC_RESULT rows of partition i (atomic rename)
     _manifest/bucket_<i>.json    # lineage + counters, written AFTER the data
+    _manifest/run.json           # inputs + parameters a resume must match
 
 A bucket is complete iff its manifest exists; a resumed run drops completed
 buckets with a pushed-down filter on the corpus (documents are hashed to
@@ -27,7 +28,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
 
-from pdf_parser_ray.schemas import PARTITION_METRICS_SCHEMA
+from pdf_parser_ray.schemas import DOC_RESULT_SCHEMA, PARTITION_METRICS_SCHEMA
 from pdf_parser_ray.pipelines.extract import _per_bucket
 from pdf_parser_ray.stages.assemble_stage import assemble_bucket
 from pdf_parser_ray.stages.render_stage import DEFAULT_N_BUCKETS
@@ -86,6 +87,20 @@ def write_bucket(
     return pa.Table.from_pylist([metrics], schema=PARTITION_METRICS_SCHEMA)
 
 
+def _run_params(
+    corpus_ds: ray.data.Dataset, n_buckets: int, strip_boilerplate: bool
+) -> dict[str, Any]:
+    """What a run's rows depend on: the parameters and each input file's
+    [path, size, mtime_ns] from the plan's metadata (nothing executes; a
+    path that is not a local file is recorded by path alone)."""
+    files = []
+    for path in sorted(corpus_ds.input_files()):
+        st = os.stat(path) if os.path.isfile(path) else None
+        files.append([path, st and st.st_size, st and st.st_mtime_ns])
+    return {"n_buckets": n_buckets, "strip_boilerplate": strip_boilerplate,
+            "input_files": files}
+
+
 def run_extraction(
     corpus_ds: ray.data.Dataset,
     output_dir: str,
@@ -94,21 +109,37 @@ def run_extraction(
     resume: bool = True,
 ) -> dict[str, Any]:
     """Run (or resume) the flagship extraction, writing per-bucket parquet +
-    manifests. Returns a summary dict with aggregate counters."""
+    manifests. Returns a summary dict with aggregate counters.
+
+    ``_manifest/run.json`` records :func:`_run_params`; a resume whose
+    params differ, or whose run.json lacks one (an older run), is refused:
+    a done bucket would keep rows of other inputs or parameters, and a new
+    bucket count would drop every doc whose OLD bucket is done."""
     os.makedirs(os.path.join(output_dir, MANIFEST_DIR), exist_ok=True)
     run_manifest = os.path.join(output_dir, MANIFEST_DIR, "run.json")
+    params = _run_params(corpus_ds, n_buckets, strip_boilerplate)
     if resume and os.path.exists(run_manifest):
         with open(run_manifest) as f:
             prior = json.load(f)
-        if prior.get("n_buckets") != n_buckets:
-            # resuming with a different bucket count would drop every doc
-            # whose OLD bucket is marked done but whose NEW bucket differs
-            raise ValueError(
-                f"resume n_buckets={n_buckets} does not match the original "
-                f"run's n_buckets={prior.get('n_buckets')} for {output_dir}; "
-                "use the original value or a fresh output dir"
-            )
-    write_json_atomic(run_manifest, {"n_buckets": n_buckets})
+        for key, now in params.items():
+            if key not in prior:
+                raise ValueError(
+                    f"{run_manifest} was written by an older version without "
+                    f"{key!r}, so a resume cannot be checked against it; "
+                    "rerun with resume=False or a fresh output dir"
+                )
+            if prior[key] != now:
+                detail = f"{key}={now!r}, originally {prior[key]!r}"
+                if key == "input_files":  # name the changed files only
+                    changed = {tuple(f) for f in prior[key]} ^ {tuple(f) for f in now}
+                    paths = sorted({f[0] for f in changed})
+                    detail = f"input files added, removed or modified: {paths}"
+                raise ValueError(
+                    f"resume of {output_dir} does not match the original run "
+                    f"({detail}); use the original inputs and parameters, "
+                    "resume=False or a fresh output dir"
+                )
+    write_json_atomic(run_manifest, params)
     done = completed_buckets(output_dir) if resume else set()
     if not resume:
         # a fresh run invalidates any previous partial state
@@ -133,11 +164,15 @@ def run_extraction(
 
 
 def read_extraction(output_dir: str) -> ray.data.Dataset:
-    """Stream back a written extraction (all completed buckets)."""
+    """Stream back a written extraction (all completed buckets); an
+    extraction with no completed bucket reads as an empty DOC_RESULT
+    Dataset."""
     paths = [
         os.path.join(output_dir, f"bucket={b}", "data.parquet")
         for b in sorted(completed_buckets(output_dir))
     ]
+    if not paths:
+        return ray.data.from_arrow(DOC_RESULT_SCHEMA.empty_table())
     return ray.data.read_parquet(paths)
 
 

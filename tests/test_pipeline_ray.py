@@ -77,7 +77,7 @@ def _route_corpus():
     ]
     table = pa.Table.from_pylist(rows, schema=CORPUS_SCHEMA)
     n_spans = [len(r["spans"] or []) for r in rows]
-    assert min(n_spans) <= 60 < max(n_spans)  # both hybrid branches run
+    assert min(n_spans) <= 60 < max(n_spans)  # giants and small docs at 60
     return table, n_spans
 
 
@@ -112,17 +112,20 @@ def test_all_routes_equal(ray_session, tmp_path):
     assert failed == {"bad-offsets"}
     routes = {
         "extract_fused": extract_fused(make(), n_buckets=8),
+        # on 4 CPUs one block's giants outweigh a quarter of the spans at
+        # threshold 60 and at the default 512, so these two run extract()
         "hybrid_split": extract_hybrid(make, n_buckets=8, giant_span_threshold=60),
         "hybrid_route": extract_hybrid(make, n_buckets=8, on_fragments="route"),
-        # above the corpus maximum: the census plans the fused branch alone
+        # above the corpus maximum: no giants, so the fused map
         "hybrid_no_giant": extract_hybrid(
             make, n_buckets=8, giant_span_threshold=max(n_spans) + 1
         ),
-        # every non-empty doc is a giant; null and empty spans stay small
+        # every non-empty doc is a giant (null and empty spans count 0):
+        # extract()
         "hybrid_giant_t0": extract_hybrid(
             make, n_buckets=8, giant_span_threshold=0
         ),
-        # every row is a giant, null and empty spans too: extract() alone
+        # every row is a giant, null and empty spans too: extract()
         "hybrid_all_giant": extract_hybrid(
             make, n_buckets=8, giant_span_threshold=-1
         ),
@@ -192,7 +195,7 @@ def _within(seconds, fn):
 
 def test_routes_equal_under_engine_context(engine_context, tmp_path):
     """The engine's own context (reservation off, push shuffle) neither
-    hangs nor changes rows: the two-branch hybrid union and the
+    hangs nor changes rows: the hybrid at threshold 60 and the
     checkpointed groupby plan both equal extract()."""
     from pdf_parser_ray.pipelines import extract_hybrid
 
@@ -776,3 +779,156 @@ def test_cli_import_skips_ray_data():
         [sys.executable, "-c", code], cwd=root, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# ---- one plan per corpus, the fused slices, the resume guard ----------------
+
+
+def _giant_blocks(clustered):
+    """Five read blocks of one corpus: 19 small docs, the null-, empty- and
+    bad-spans docs of _route_corpus, and five giants (403-458 spans, above
+    a threshold of 200), one giant per block or all five in the first."""
+    from pdf_parser_ray.schemas import CORPUS_SCHEMA
+
+    rows = generate_corpus(24, seed=5, max_pages=40).to_pylist()
+    giants = [r for r in rows if len(r["spans"]) > 200]
+    small = [r for r in rows if len(r["spans"]) <= 200]
+    small += _route_corpus()[0].to_pylist()[N_DOCS:]
+    assert len(giants) == 5
+    if clustered:
+        blocks = [giants] + [small[i::4] for i in range(4)]
+    else:
+        blocks = [[g] + small[i::5] for i, g in enumerate(giants)]
+    return [pa.Table.from_pylist(b, schema=CORPUS_SCHEMA) for b in blocks]
+
+
+@pytest.mark.parametrize("clustered", [False, True], ids=["spread", "clustered"])
+def test_hybrid_plan_follows_giant_placement(ray_session, clustered):
+    """Giants spread over the read blocks run the fused map alone; the same
+    docs with every giant in one block (whose giant spans times the CPUs
+    exceed the corpus's spans) run extract() alone. Neither plan is a
+    union, and both give extract()'s rows."""
+    from pdf_parser_ray.pipelines import extract_hybrid
+
+    blocks = _giant_blocks(clustered)
+
+    def make():
+        return ray.data.from_arrow(blocks)
+
+    counts = [[len(s or []) for s in b["spans"].to_pylist()] for b in blocks]
+    heaviest = max(sum(n for n in c if n > 200) for c in counts)
+    total = sum(map(sum, counts))
+    assert (heaviest * ray.cluster_resources()["CPU"] > total) == clustered
+
+    ds = extract_hybrid(make, n_buckets=8, giant_span_threshold=200).materialize()
+    stats = ds.stats()
+    assert ("Sort" in stats) == clustered, stats
+    assert ("MapBatches(fused)" in stats) != clustered, stats
+    assert "Union" not in stats, stats
+    _assert_rows_equal({"hybrid": ds}, _by_doc(extract(make(), n_buckets=8)))
+
+
+def test_fused_span_slices():
+    """The fused map's slice law: a doc above the cap stands alone, rows
+    summing exactly to the cap share a slice, and null or empty spans count
+    0 spans."""
+    from pdf_parser_ray.pipelines.extract import _span_counts, _span_slices
+    from pdf_parser_ray.schemas import CORPUS_SCHEMA
+
+    assert _span_slices([], 10) == []
+    assert _span_slices([4, 6, 1], 10) == [(0, 2), (2, 3)]
+    assert _span_slices([3, 11, 2], 10) == [(0, 1), (1, 2), (2, 3)]
+    assert _span_slices([11], 10) == [(0, 1)]
+    assert _span_slices([10, 0, 0, 1], 10) == [(0, 3), (3, 4)]
+    span = {"kind": "text", "text": "a", "media_ref": "", "offset": 0}
+    table = pa.Table.from_pylist(
+        [{"doc_id": "n", "spans": None}, {"doc_id": "e", "spans": []},
+         {"doc_id": "s", "spans": [span] * 3}],
+        schema=CORPUS_SCHEMA,
+    )
+    counts = _span_counts(table).to_pylist()
+    assert counts == [0, 0, 3]
+    assert _span_slices(counts, 2) == [(0, 2), (2, 3)]
+    assert _span_slices(counts, 3) == [(0, 3)]
+
+
+def test_fused_slices_equal_extract(ray_session, monkeypatch):
+    """With a cap far below the docs' sizes every batch runs in many slices
+    (most docs alone in theirs), and the rows still equal extract()'s. The
+    fused closure is pickled by value with the globals it names, so the
+    patched cap reaches the workers."""
+    import importlib
+
+    module = importlib.import_module("pdf_parser_ray.pipelines.extract")
+    monkeypatch.setattr(module, "FUSED_CHUNK_SPANS", 60)
+    table, _ = _route_corpus()
+
+    def make():
+        return ray.data.from_arrow(table).repartition(2)
+
+    _assert_rows_equal(
+        {"extract_fused": extract_fused(make(), n_buckets=8)},
+        _by_doc(extract(make(), n_buckets=8)),
+    )
+
+
+def _write_corpus_files(directory, n_files):
+    """generate_corpus(12) written as ``n_files`` parquet files."""
+    import pyarrow.parquet as pq
+
+    table = generate_corpus(12, seed=3, max_pages=8)
+    os.makedirs(directory, exist_ok=True)
+    step = table.num_rows // n_files
+    for i in range(n_files):
+        pq.write_table(table.slice(i * step, step), os.path.join(directory, f"part-{i}.parquet"))
+
+
+def test_resume_refuses_appended_input_file(ray_session, tmp_path):
+    """A resume after a file joined the corpus would drop that file's docs
+    (every bucket is already done), so it is refused."""
+    from pdf_parser_ray.sources import read_corpus
+
+    corpus, out = str(tmp_path / "corpus"), str(tmp_path / "ckpt")
+    _write_corpus_files(corpus, 3)
+    late, aside = os.path.join(corpus, "part-2.parquet"), str(tmp_path / "late")
+    os.replace(late, aside)
+    run_extraction(read_corpus(corpus), out, n_buckets=4)
+    assert run_extraction(read_corpus(corpus), out, n_buckets=4)["docs_parsed"] == 0
+    os.replace(aside, late)
+    with pytest.raises(ValueError, match="input files added, removed or modified"):
+        run_extraction(read_corpus(corpus), out, n_buckets=4)
+    fresh = run_extraction(read_corpus(corpus), out, n_buckets=4, resume=False)
+    assert fresh["docs_parsed"] == 12
+
+
+def test_resume_refuses_flipped_parameter(ray_session, tmp_path):
+    """A resume with strip_boilerplate flipped would keep the rows of the
+    first setting, so it is refused; so is a run.json written without the
+    recorded inputs and parameters."""
+    import json
+
+    from pdf_parser_ray.sources import read_corpus
+
+    corpus, out = str(tmp_path / "corpus"), str(tmp_path / "ckpt")
+    _write_corpus_files(corpus, 2)
+    run_extraction(read_corpus(corpus), out, n_buckets=4)
+    with pytest.raises(ValueError, match="strip_boilerplate=False, originally True"):
+        run_extraction(read_corpus(corpus), out, n_buckets=4, strip_boilerplate=False)
+
+    with open(os.path.join(out, "_manifest", "run.json"), "w") as f:
+        json.dump({"n_buckets": 4}, f)
+    with pytest.raises(ValueError, match="older version"):
+        run_extraction(read_corpus(corpus), out, n_buckets=4)
+
+
+def test_read_extraction_of_empty_corpus(ray_session, tmp_path):
+    """A run over an empty corpus completes no bucket and reads back as an
+    empty DOC_RESULT Dataset."""
+    from pdf_parser_ray.schemas import CORPUS_SCHEMA, DOC_RESULT_SCHEMA
+
+    out = str(tmp_path / "ckpt")
+    summary = run_extraction(ray.data.from_arrow(CORPUS_SCHEMA.empty_table()), out)
+    assert summary["buckets_completed_now"] == 0
+    ds = read_extraction(out)
+    assert ds.count() == 0
+    assert ds.schema().base_schema == DOC_RESULT_SCHEMA
