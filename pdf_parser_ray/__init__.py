@@ -8,12 +8,15 @@ processed as a streaming ``ray.data.Dataset`` pipeline —
 
     read (lance|parquet)
       -> map_batches(_tag_buckets)                   # append bucket = hash(doc_id) % B
-      -> groupby(bucket).map_groups(assemble_bucket) # THE shuffle: corpus rows; render
-                                                     # + assemble each doc in its bucket
+      -> groupby(bucket).map_groups(assemble_bucket) # THE shuffle: corpus rows; per
+                                                     # slice of <= SLICE_SPANS spans: one
+                                                     # decode, render + assemble each doc
       -> write partitioned parquet (per-bucket checkpoints + lineage/metrics)
 
-Every extraction route runs ``stages.render_doc`` then
-``stages.assemble_doc_rows`` per document; ``extract_fused`` skips the shuffle.
+Every extraction route, and ``page_range``, runs one span-capped loop,
+``stages.render_stage.render_slices`` (decode -> ``stages.render_doc``);
+the routes assemble its docs with ``stages.assemble_doc_rows``.
+``extract_fused`` runs the same loop with no shuffle.
 
 Per-document semantics (page render, metadata regexes, 3-pass TOC parse,
 heading strategies, section assembly) live in :mod:`pdf_parser_ray.doclogic`

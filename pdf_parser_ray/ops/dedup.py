@@ -228,12 +228,9 @@ class MinHasher:
                 # LSH collision structure, and reproducible in the SQL
                 # oracle (DuckDB md5 takes VARCHAR only)
                 band_key = "|".join(str(int(v)) for v in bands[band_id])
-                band_hash = int.from_bytes(
-                    hashlib.md5(band_key.encode()).digest()[:8], "big"
-                ) >> 1
                 out_doc.append(doc_id)
                 out_band.append(band_id)
-                out_hash.append(band_hash)
+                out_hash.append(md5_64(band_key))
         return pa.table(
             {
                 "doc_id": pa.array([str(d) for d in out_doc], pa.string()),

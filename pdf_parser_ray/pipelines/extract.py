@@ -1,12 +1,12 @@
 """The flagship main-content extraction pipeline.
 
-Every route runs the same two per-document functions —
-``render_doc`` (spans -> page rows) and ``assemble_doc_rows`` (page rows ->
-one DOC_RESULT row) — and differs only in what sits between them:
+Every route runs one loop, ``stages.assemble_docs`` over the span-capped
+slices of ``stages.render_stage.render_slices`` (which ``page_range``
+shares), and differs only in what feeds it:
 
     corpus (doc_id, spans)
       -> map_batches(_tag_buckets)                   # + bucket column
-      -> groupby(bucket).map_groups(assemble_bucket) # render + assemble per doc
+      -> groupby(bucket).map_groups(assemble_bucket) # assemble_docs per bucket
       -> Dataset[DOC_RESULT]                         # all outputs, one row/doc
 
 The shuffle moves corpus rows (one per doc, or per fragment of a doc),
@@ -14,8 +14,8 @@ never rendered page rows: render and assembly each run once per doc in one
 task, so a page-row fan-out would split no work and move a row per page.
 
 ``extract_fused`` is the no-shuffle fast path for when corpus rows are whole
-documents (the common read_lance layout): render + assemble inside one
-``map_batches`` — identical rows, verified equal in tests.
+documents (the common read_lance layout): ``assemble_docs`` over each
+``map_batches`` batch — identical rows, verified equal in tests.
 
 ``extract_hybrid`` is the flagship: it measures the corpus once and runs
 exactly one of those two plans over all of it.
@@ -34,49 +34,22 @@ import pyarrow as pa
 import ray.data
 
 from pdf_parser_ray.schemas import (
-    DOC_RESULT_SCHEMA,
     METADATA_SCHEMA,
     SECTIONS_SCHEMA,
     SPAN_FLAT_SCHEMA,
     TOC_SCHEMA,
 )
-from pdf_parser_ray.stages.assemble_stage import assemble_bucket, assemble_doc_rows
+from pdf_parser_ray.stages.assemble_stage import assemble_bucket, assemble_docs
 from pdf_parser_ray.stages.render_stage import (
     DEFAULT_N_BUCKETS,
+    _span_counts,
     bucket_of,
-    decode_spans,
-    render_doc,
     render_pages,
 )
 
-# whole documents per extract_fused batch: enough that Ray's per-batch
-# cost is small next to the doclogic work
-FUSED_BATCH_DOCS = 256
-# spans extract_fused decodes and renders at a time: bounds a batch task's
-# heap when giant docs reach the map; a larger doc is a slice of its own
-FUSED_CHUNK_SPANS = 65_536
-# documents per render_pages batch: bounds the page rows one task holds, so
-# a run of multi-hundred-page docs can't blow a task's heap
-RENDER_BATCH_DOCS = 32
-
-
-def _span_counts(batch: pa.Table) -> pa.Array:
-    """Spans per corpus row; a null ``spans`` cell counts 0."""
-    return pa.compute.list_value_length(batch["spans"]).fill_null(0)
-
-
-def _span_slices(counts: list[int], cap: int) -> list[tuple[int, int]]:
-    """Consecutive ``[start, stop)`` row ranges holding at most ``cap``
-    spans each; a row above ``cap`` is a range of its own."""
-    out, start, total = [], 0, 0
-    for i, n in enumerate(counts):
-        if i > start and total + n > cap:
-            out.append((start, i))
-            start, total = i, 0
-        total += n
-    if counts:
-        out.append((start, len(counts)))
-    return out
+# whole docs per batch of the fused map and of page_rows, so Ray's per-batch
+# cost is small; the kernel's SLICE_SPANS, not this count, bounds the heap
+MAP_BATCH_DOCS = 256
 
 
 def page_rows(
@@ -88,7 +61,7 @@ def page_rows(
         render_pages,
         fn_kwargs={"n_buckets": n_buckets},
         batch_format="pyarrow",
-        batch_size=RENDER_BATCH_DOCS,
+        batch_size=MAP_BATCH_DOCS,
     )
 
 
@@ -119,8 +92,8 @@ def _per_bucket(
 ) -> ray.data.Dataset:
     """The shuffled plan behind ``extract`` and ``state.run_extraction``:
     corpus rows tagged with their bucket (rows of ``skip_buckets`` dropped)
-    -> groupby(bucket) -> ``fn(group, **fn_kwargs)`` per bucket, which
-    renders and assembles the bucket's docs in-process."""
+    -> groupby(bucket) -> ``fn(group, n_buckets=n_buckets, **fn_kwargs)``
+    per bucket, which renders and assembles the bucket's docs in-process."""
     return (
         corpus_ds.map_batches(
             _tag_buckets,
@@ -129,7 +102,7 @@ def _per_bucket(
             batch_size=None,
         )
         .groupby("bucket")
-        .map_groups(fn, fn_kwargs=fn_kwargs, batch_format="pyarrow")
+        .map_groups(fn, fn_kwargs=dict(fn_kwargs, n_buckets=n_buckets), batch_format="pyarrow")
     )
 
 
@@ -159,9 +132,8 @@ def extract_fused(
     n_buckets: int = DEFAULT_N_BUCKETS,
     strip_boilerplate: bool = True,
 ) -> ray.data.Dataset:
-    """No-shuffle fast path: whole-document rows rendered and assembled
-    in-process, one stage. Each batch is decoded, rendered and assembled
-    in slices of at most ``FUSED_CHUNK_SPANS`` spans."""
+    """No-shuffle fast path for whole-document rows, one stage:
+    ``assemble_docs`` over each batch, in slices of ``SLICE_SPANS`` spans."""
 
     def fused(batch: pa.Table) -> pa.Table:
         ids = [str(d) for d in batch["doc_id"].to_pylist()]
@@ -175,25 +147,9 @@ def extract_fused(
                 "check catches adjacent fragments; use "
                 "assert_whole_doc_rows() for a corpus-wide guarantee."
             )
-        parts = []
-        for start, stop in _span_slices(
-            _span_counts(batch).to_pylist(), FUSED_CHUNK_SPANS
-        ):
-            spans = decode_spans(batch["spans"].slice(start, stop - start))
-            out = [
-                assemble_doc_rows(
-                    doc_id,
-                    render_doc(doc_id, doc_spans, bucket_of(doc_id, n_buckets)),
-                    strip_boilerplate,
-                )
-                for doc_id, doc_spans in zip(ids[start:stop], spans)
-            ]
-            parts.append(pa.Table.from_pylist(out, schema=DOC_RESULT_SCHEMA))
-        return pa.concat_tables(parts) if parts else DOC_RESULT_SCHEMA.empty_table()
+        return assemble_docs(batch, n_buckets, strip_boilerplate)
 
-    return corpus_ds.map_batches(
-        fused, batch_format="pyarrow", batch_size=FUSED_BATCH_DOCS
-    )
+    return corpus_ds.map_batches(fused, batch_format="pyarrow", batch_size=MAP_BATCH_DOCS)
 
 
 def fragmented_doc_ids(

@@ -1,19 +1,18 @@
-"""Stage 2: per-doc assembly, in a bucket task or in-process.
+"""Stage 2: per-doc assembly, in a bucket task or a map task.
 
-:func:`assemble_doc_rows` is the ONE per-document assembly step of every
-extraction route: :func:`assemble_bucket` applies it per doc inside a
-``map_groups`` bucket, and ``extract_fused`` calls it directly on the rows
-``render_doc`` just produced.
+:func:`assemble_doc_rows` is the ONE per-document assembly step and
+:func:`assemble_docs` the one loop applying it to each ``render_slices``
+slice: on whole-doc batches in ``extract_fused`` and on one bucket in
+:func:`assemble_bucket`.
 
 The shuffled routes group CORPUS rows (doc_id, spans, bucket) by
 ``bucket`` (= fnv1a_32(doc_id) % n_buckets) — the coarsened form of the
 north rule's groupby(doc_id) aggregate-sort shuffle: every fragment of a
 document lands in exactly one group, and the key cardinality stays bounded
-so the sort-based shuffle moves fewer, larger partitions. Inside a group
-the assembler takes the docs in doc_id order, renders each fragment of a
-doc, orders the doc's page rows by (page, page_order), and runs the
-order-dependent doc-level pipeline (metadata -> TOC -> sections -> output
-spans) from :func:`pdf_parser_ray.doclogic.pipeline.assemble_document`.
+so the sort-based shuffle moves fewer, larger partitions. A bucket task
+sorts its group by doc_id, so a doc's fragments sit together, and runs
+the order-dependent doc-level pipeline (metadata -> TOC -> sections ->
+output spans) of :func:`pdf_parser_ray.doclogic.pipeline.assemble_document`.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import pyarrow as pa
 
 from pdf_parser_ray.doclogic.pipeline import assemble_document
 from pdf_parser_ray.schemas import DOC_RESULT_SCHEMA
-from pdf_parser_ray.stages.render_stage import decode_spans, render_doc
+from pdf_parser_ray.stages.render_stage import render_slices
 
 
 def doc_result_to_row(result: dict[str, Any], bucket: int, parse_failure: bool) -> dict[str, Any]:
@@ -116,35 +115,26 @@ def assemble_doc_rows(
         return doc_result_to_row(_empty_result(doc_id), bucket, True)
 
 
-def assemble_bucket(group: pa.Table, strip_boilerplate: bool = True) -> pa.Table:
-    """map_groups function over one bucket group of corpus rows
-    (doc_id, spans, bucket) -> one DOC_RESULT row per doc_id.
+def assemble_docs(
+    batch: pa.Table, n_buckets: int, strip_boilerplate: bool = True
+) -> pa.Table:
+    """Corpus rows, each doc's rows next to each other -> one DOC_RESULT
+    row per doc, one :func:`render_slices` slice at a time: the Python heap
+    holds one slice's spans, pages and rows, never the whole batch."""
+    parts = [
+        pa.Table.from_pylist(
+            [assemble_doc_rows(doc_id, rows, strip_boilerplate) for doc_id, rows in docs],
+            schema=DOC_RESULT_SCHEMA,
+        )
+        for docs in render_slices(batch, n_buckets)
+    ]
+    return pa.concat_tables(parts) if parts else DOC_RESULT_SCHEMA.empty_table()
 
-    Memory shape: the group stays an Arrow table (compact, possibly
-    memory-mapped); spans are decoded one DOCUMENT at a time from the
-    doc's row slice, so peak Python-heap usage is one doc's spans and pages
-    plus one result row — not the whole bucket (which at corpus scale is
-    corpus_size / n_buckets). Each corpus row of a fragmented doc renders
-    on its own; the doc's page rows are then ordered by (page, page_order)
-    whichever fragment the group holds first."""
-    if group.num_rows == 0:
-        return pa.Table.from_pylist([], schema=DOC_RESULT_SCHEMA)
-    bucket = group["bucket"][0].as_py()  # a group holds one bucket
-    group = group.take(pa.compute.sort_indices(group["doc_id"]))  # stable
-    ids = group["doc_id"].to_pylist()
-    out = []
-    start = 0
-    for i in range(1, len(ids) + 1):
-        if i == len(ids) or ids[i] != ids[start]:
-            doc_id = ids[start]
-            rows = [
-                row
-                for fragment in decode_spans(group["spans"].slice(start, i - start))
-                for row in render_doc(doc_id, fragment, bucket)
-            ]
-            # page_order breaks ties between duplicate page numbers the
-            # same way the oracle's stable sort over offset-ordered pages does
-            rows.sort(key=lambda r: (r["page"], r["page_order"]))
-            out.append(assemble_doc_rows(doc_id, rows, strip_boilerplate))
-            start = i
-    return pa.Table.from_pylist(out, schema=DOC_RESULT_SCHEMA)
+
+def assemble_bucket(
+    group: pa.Table, n_buckets: int, strip_boilerplate: bool = True
+) -> pa.Table:
+    """map_groups function over one bucket group of corpus rows
+    (doc_id, spans, bucket) -> one DOC_RESULT row per doc_id, in doc_id
+    order (a stable sort, then :func:`assemble_docs`)."""
+    return assemble_docs(group.sort_by("doc_id"), n_buckets, strip_boilerplate)

@@ -1,17 +1,15 @@
 """Stage 1: corpus rows -> rendered per-page rows.
 
-:func:`render_doc` is the ONE per-document render step of every extraction
-route: ``extract`` and ``run_extraction`` call it inside each bucket task
-(``assemble_bucket``) after the bucket shuffle has moved the corpus rows,
-``extract_fused`` calls it in-process, and :func:`render_pages` maps it
-over a batch for ``page_range``. The warm state is the compiled regex
-banks, which Python caches at module import per worker process (SURVEY.md
-§2.3 ST1).
+:func:`render_slices` is the ONE decode -> render loop, shared by every
+extraction route (through ``stages.assemble_stage.assemble_docs``) and by
+``page_range`` (:func:`render_pages`): slices of whole docs of at most
+``SLICE_SPANS`` spans, each decoded in one :func:`decode_spans` call, so
+the cap bounds a task's Python heap whatever its batch holds. Regex banks
+warm at module import per worker process (SURVEY.md §2.3 ST1).
 
-:func:`decode_spans` is the one Arrow -> Python span decoder of those
-routes: it reads a ``spans`` list column child column by child column
-instead of calling ``to_pylist()``, which builds every span dict through
-a per-value scalar.
+:func:`decode_spans` reads a ``spans`` list column child column by child
+column instead of calling ``to_pylist()``, which builds every span dict
+through a per-value scalar.
 
 All rendered strings are finalized HERE, before the Arrow block boundary
 (see doclogic.render module docstring).
@@ -19,9 +17,10 @@ All rendered strings are finalized HERE, before the Arrow block boundary
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterator
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from pdf_parser_ray.doclogic import render
 from pdf_parser_ray.doclogic.pipeline import page_row_from_record
@@ -33,6 +32,9 @@ from pdf_parser_ray.schemas import PAGE_ROW_SCHEMA
 # the CLI default to; it fixes a checkpoint's layout, and a resume must use
 # the count its run was started with
 DEFAULT_N_BUCKETS = 64
+# spans one render_slices slice decodes and renders at a time: bounds a
+# map or bucket task's heap; a doc above it is a slice of its own
+SLICE_SPANS = 65_536
 
 
 def bucket_of(doc_id: str, n_buckets: int) -> int:
@@ -143,11 +145,52 @@ def decode_spans(spans: pa.Array | pa.ChunkedArray) -> list[Any]:
     ]
 
 
-def render_pages(batch: pa.Table, n_buckets: int) -> pa.Table:
-    """corpus (doc_id, spans) batch -> page rows batch (``page_range``'s
-    map; the extraction routes render inside their bucket or batch task)."""
-    out_rows: list[dict[str, Any]] = []
-    for doc_id, spans in zip(batch["doc_id"].to_pylist(), decode_spans(batch["spans"])):
-        doc_id = str(doc_id)
-        out_rows.extend(render_doc(doc_id, spans, bucket_of(doc_id, n_buckets)))
-    return pa.Table.from_pylist(out_rows, schema=PAGE_ROW_SCHEMA)
+def _span_counts(batch: pa.Table) -> pa.Array:
+    """Spans per corpus row; a null ``spans`` cell counts 0."""
+    return pc.list_value_length(batch["spans"]).fill_null(0)
+
+
+def _span_slices(counts: list[int], cap: int) -> list[tuple[int, int]]:
+    """Consecutive ``[start, stop)`` ranges of ``counts`` summing to at
+    most ``cap`` each; an entry above ``cap`` is a range of its own."""
+    out, start, total = [], 0, 0
+    for i, n in enumerate(counts):
+        if i > start and total + n > cap:
+            out.append((start, i))
+            start, total = i, 0
+        total += n
+    if counts:
+        out.append((start, len(counts)))
+    return out
+
+
+def render_slices(
+    batch: pa.Table, n_buckets: int
+) -> Iterator[list[tuple[str, list[dict[str, Any]]]]]:
+    """Corpus rows, each doc's rows next to each other -> per slice of
+    whole docs (at most ``SLICE_SPANS`` spans, or one larger doc), the
+    (doc_id, page rows) of its docs. Each row renders on its own (a
+    fragmented doc's fragments separately); a doc's page rows are then
+    ordered by (page, page_order), the oracle's stable-sort tie-break."""
+    ids = [str(d) for d in batch["doc_id"].to_pylist()]
+    starts = [i for i, d in enumerate(ids) if not i or d != ids[i - 1]] + [len(ids)]
+    counts = _span_counts(batch).to_pylist()
+    doc_counts = [sum(counts[a:b]) for a, b in zip(starts, starts[1:])]
+    for first, last in _span_slices(doc_counts, SLICE_SPANS):
+        lo, hi = starts[first], starts[last]
+        spans = decode_spans(batch["spans"].slice(lo, hi - lo))
+        docs: dict[str, list[dict[str, Any]]] = {}
+        for doc_id, doc_spans in zip(ids[lo:hi], spans):
+            rows = render_doc(doc_id, doc_spans, bucket_of(doc_id, n_buckets))
+            docs.setdefault(doc_id, []).extend(rows)
+        for rows in docs.values():
+            rows.sort(key=lambda r: (r["page"], r["page_order"]))
+        yield list(docs.items())
+
+
+def render_pages(batch: pa.Table, n_buckets: int) -> Iterator[pa.Table]:
+    """corpus (doc_id, spans) batch -> its page rows, one table per
+    :func:`render_slices` slice (``page_range``'s map)."""
+    for docs in render_slices(batch, n_buckets):
+        rows = [row for _, doc_rows in docs for row in doc_rows]
+        yield pa.Table.from_pylist(rows, schema=PAGE_ROW_SCHEMA)

@@ -5,6 +5,7 @@ Layout under ``output_dir``::
     bucket=<i>/data.parquet      # DOC_RESULT rows of partition i (atomic rename)
     _manifest/bucket_<i>.json    # lineage + counters, written AFTER the data
     _manifest/run.json           # inputs + parameters a resume must match
+    .lock                        # flock held for a whole run (guard + run)
 
 A bucket is complete iff its manifest exists; a resumed run drops completed
 buckets with a pushed-down filter on the corpus (documents are hashed to
@@ -32,7 +33,7 @@ from pdf_parser_ray.schemas import DOC_RESULT_SCHEMA, PARTITION_METRICS_SCHEMA
 from pdf_parser_ray.pipelines.extract import _per_bucket
 from pdf_parser_ray.stages.assemble_stage import assemble_bucket
 from pdf_parser_ray.stages.render_stage import DEFAULT_N_BUCKETS
-from pdf_parser_ray.state.fragments import write_json_atomic
+from pdf_parser_ray.state.fragments import dir_lock, write_json_atomic
 
 MANIFEST_DIR = "_manifest"
 # per-partition counters, summed into every run summary
@@ -59,11 +60,11 @@ def completed_buckets(output_dir: str) -> set[int]:
 
 
 def write_bucket(
-    group: pa.Table, output_dir: str, strip_boilerplate: bool = True
+    group: pa.Table, output_dir: str, n_buckets: int, strip_boilerplate: bool = True
 ) -> pa.Table:
     """``run_extraction``'s per-bucket step: assemble, write the data
     atomically, then the manifest; returns the PARTITION_METRICS row."""
-    result = assemble_bucket(group, strip_boilerplate)
+    result = assemble_bucket(group, n_buckets, strip_boilerplate)
     if result.num_rows == 0:
         # never guess a bucket id for an empty group — writing a default
         # would clobber a real bucket's data with an empty file
@@ -115,45 +116,46 @@ def run_extraction(
     params differ, or whose run.json lacks one (an older run), is refused:
     a done bucket would keep rows of other inputs or parameters, and a new
     bucket count would drop every doc whose OLD bucket is done."""
-    os.makedirs(os.path.join(output_dir, MANIFEST_DIR), exist_ok=True)
-    run_manifest = os.path.join(output_dir, MANIFEST_DIR, "run.json")
-    params = _run_params(corpus_ds, n_buckets, strip_boilerplate)
-    if resume and os.path.exists(run_manifest):
-        with open(run_manifest) as f:
-            prior = json.load(f)
-        for key, now in params.items():
-            if key not in prior:
-                raise ValueError(
-                    f"{run_manifest} was written by an older version without "
-                    f"{key!r}, so a resume cannot be checked against it; "
-                    "rerun with resume=False or a fresh output dir"
-                )
-            if prior[key] != now:
-                detail = f"{key}={now!r}, originally {prior[key]!r}"
-                if key == "input_files":  # name the changed files only
-                    changed = {tuple(f) for f in prior[key]} ^ {tuple(f) for f in now}
-                    paths = sorted({f[0] for f in changed})
-                    detail = f"input files added, removed or modified: {paths}"
-                raise ValueError(
-                    f"resume of {output_dir} does not match the original run "
-                    f"({detail}); use the original inputs and parameters, "
-                    "resume=False or a fresh output dir"
-                )
-    write_json_atomic(run_manifest, params)
-    done = completed_buckets(output_dir) if resume else set()
-    if not resume:
-        # a fresh run invalidates any previous partial state
-        for b in completed_buckets(output_dir):
-            os.remove(_manifest_path(output_dir, b))
+    with dir_lock(output_dir):
+        os.makedirs(os.path.join(output_dir, MANIFEST_DIR), exist_ok=True)
+        run_manifest = os.path.join(output_dir, MANIFEST_DIR, "run.json")
+        params = _run_params(corpus_ds, n_buckets, strip_boilerplate)
+        if resume and os.path.exists(run_manifest):
+            with open(run_manifest) as f:
+                prior = json.load(f)
+            for key, now in params.items():
+                if key not in prior:
+                    raise ValueError(
+                        f"{run_manifest} was written by an older version without "
+                        f"{key!r}, so a resume cannot be checked against it; "
+                        "rerun with resume=False or a fresh output dir"
+                    )
+                if prior[key] != now:
+                    detail = f"{key}={now!r}, originally {prior[key]!r}"
+                    if key == "input_files":  # name the changed files only
+                        changed = {tuple(f) for f in prior[key]} ^ {tuple(f) for f in now}
+                        paths = sorted({f[0] for f in changed})
+                        detail = f"input files added, removed or modified: {paths}"
+                    raise ValueError(
+                        f"resume of {output_dir} does not match the original run "
+                        f"({detail}); use the original inputs and parameters, "
+                        "resume=False or a fresh output dir"
+                    )
+        write_json_atomic(run_manifest, params)
+        done = completed_buckets(output_dir) if resume else set()
+        if not resume:
+            # a fresh run invalidates any previous partial state
+            for b in completed_buckets(output_dir):
+                os.remove(_manifest_path(output_dir, b))
 
-    metrics = _per_bucket(  # tiny: one row per bucket
-        corpus_ds,
-        n_buckets,
-        write_bucket,
-        skip_buckets=done,
-        output_dir=output_dir,
-        strip_boilerplate=strip_boilerplate,
-    ).to_pandas()
+        metrics = _per_bucket(  # tiny: one row per bucket
+            corpus_ds,
+            n_buckets,
+            write_bucket,
+            skip_buckets=done,
+            output_dir=output_dir,
+            strip_boilerplate=strip_boilerplate,
+        ).to_pandas()
 
     return {
         "output_dir": output_dir,

@@ -62,22 +62,30 @@ def fragment_key(path: str) -> str:
 
 
 @contextlib.contextmanager
+def dir_lock(directory: str) -> Iterator[None]:
+    """Hold an exclusive ``flock`` on ``<directory>/.lock`` for the ``with``
+    block; a second holder, in any process, waits until the first leaves."""
+    os.makedirs(directory, exist_ok=True)
+    with open(os.path.join(directory, ".lock"), "w") as lock_f:
+        fcntl.flock(lock_f, fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.flock(lock_f, fcntl.LOCK_UN)
+
+
+@contextlib.contextmanager
 def open_store(
     store_dir: str, data_dir: str, files: Sequence[str], params: dict[str, Any]
 ) -> Iterator["FragmentStore"]:
-    """Hold the store's exclusive lock for the whole ``with`` block and
+    """Hold the store's :func:`dir_lock` for the whole ``with`` block and
     yield the scanned :class:`FragmentStore`. Every mutation — the
     client's own guards and files included — belongs inside the block:
     two runs against one store would otherwise interleave a prune or
     write with the other's manifest check. (A reader racing a later
     update is the caller's concern.)"""
-    os.makedirs(store_dir, exist_ok=True)
-    with open(os.path.join(store_dir, ".lock"), "w") as lock_f:
-        fcntl.flock(lock_f, fcntl.LOCK_EX)
-        try:
-            yield FragmentStore(store_dir, data_dir, files, params)
-        finally:
-            fcntl.flock(lock_f, fcntl.LOCK_UN)
+    with dir_lock(store_dir):
+        yield FragmentStore(store_dir, data_dir, files, params)
 
 
 class FragmentStore:

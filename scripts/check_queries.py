@@ -72,7 +72,7 @@ def main() -> None:
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, _REPO)
     import __ray_entry__ as entrymod
 
     con = duckdb.connect()

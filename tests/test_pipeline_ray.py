@@ -829,10 +829,10 @@ def test_hybrid_plan_follows_giant_placement(ray_session, clustered):
 
 
 def test_fused_span_slices():
-    """The fused map's slice law: a doc above the cap stands alone, rows
+    """The kernel's slice law: a doc above the cap stands alone, rows
     summing exactly to the cap share a slice, and null or empty spans count
     0 spans."""
-    from pdf_parser_ray.pipelines.extract import _span_counts, _span_slices
+    from pdf_parser_ray.stages.render_stage import _span_counts, _span_slices
     from pdf_parser_ray.schemas import CORPUS_SCHEMA
 
     assert _span_slices([], 10) == []
@@ -853,23 +853,72 @@ def test_fused_span_slices():
 
 
 def test_fused_slices_equal_extract(ray_session, monkeypatch):
-    """With a cap far below the docs' sizes every batch runs in many slices
-    (most docs alone in theirs), and the rows still equal extract()'s. The
-    fused closure is pickled by value with the globals it names, so the
-    patched cap reaches the workers."""
-    import importlib
+    """With a cap far below the docs' sizes the kernel runs a batch in many
+    slices (most docs alone in theirs), and assemble_docs' rows still equal
+    extract()'s — also for a fragmented doc whose fragments a per-row cut
+    would put in different slices, and across the table's chunks."""
+    from pdf_parser_ray.schemas import CORPUS_SCHEMA, DOC_RESULT_SCHEMA
+    from pdf_parser_ray.stages import render_stage
+    from pdf_parser_ray.stages.assemble_stage import assemble_docs
 
-    module = importlib.import_module("pdf_parser_ray.pipelines.extract")
-    monkeypatch.setattr(module, "FUSED_CHUNK_SPANS", 60)
-    table, _ = _route_corpus()
+    monkeypatch.setattr(render_stage, "SLICE_SPANS", 60)
+    rows = _route_corpus()[0].to_pylist()
+    big = max(rows, key=lambda r: len(r["spans"] or []))  # split at a middle page
+    breaks = [i for i, s in enumerate(big["spans"]) if s["kind"] == "page_break"]
+    cut = breaks[len(breaks) // 2]
+    rows += [{"doc_id": big["doc_id"], "spans": big["spans"][cut:]}]
+    big["spans"] = big["spans"][:cut]
+    table = pa.Table.from_pylist(rows, schema=CORPUS_SCHEMA).sort_by("doc_id")
+    table = pa.concat_tables([table.slice(0, 9), table.slice(9)])  # two chunks
+    ids = table["doc_id"].to_pylist()
+    cuts = [a for a, _ in render_stage._span_slices(
+        render_stage._span_counts(table).to_pylist(), 60)]
+    assert any(ids[i - 1] == ids[i] for i in cuts[1:])  # fragments straddle a cut
 
-    def make():
-        return ray.data.from_arrow(table).repartition(2)
+    got = sorted(assemble_docs(table, 8).to_pylist(), key=lambda r: r["doc_id"])
+    want = _by_doc(extract(ray.data.from_arrow(table).repartition(2), n_buckets=8))
+    assert len(got) == len(set(ids))
+    for col in DOC_RESULT_SCHEMA.names:
+        assert [r[col] for r in got] == [r[col] for r in want], col
 
-    _assert_rows_equal(
-        {"extract_fused": extract_fused(make(), n_buckets=8)},
-        _by_doc(extract(make(), n_buckets=8)),
-    )
+
+def test_kernel_decodes_once_per_slice(monkeypatch):
+    """Spans cross into Python once per slice: a bucket of small docs in
+    one decode_spans call, and render_pages over a batch above the cap in
+    calls of at most the cap or of a single doc."""
+    from pdf_parser_ray.pipelines.extract import _tag_buckets
+    from pdf_parser_ray.schemas import CORPUS_SCHEMA
+    from pdf_parser_ray.stages import render_stage
+    from pdf_parser_ray.stages.assemble_stage import assemble_bucket
+
+    calls = []  # (rows, spans) per call, not counting the per-chunk recursion
+    decode = render_stage.decode_spans
+
+    def spy(spans):
+        out = decode(spans)
+        if isinstance(spans, pa.ChunkedArray):
+            calls.append((len(out), sum(len(s or []) for s in out)))
+        return out
+
+    monkeypatch.setattr(render_stage, "decode_spans", spy)
+    fragments = pa.Table.from_pylist(_fragmented_corpus()[-2:], schema=CORPUS_SCHEMA)
+    table = pa.concat_tables([_route_corpus()[0], fragments])
+    tagged = _tag_buckets(table, 8, frozenset())
+    bucket = max(range(8), key=lambda b: tagged["bucket"].to_pylist().count(b))
+    group = tagged.filter(pa.compute.equal(tagged["bucket"], bucket))
+    assert group.num_rows > 1
+    assemble_bucket(group, 8)
+    n_spans = pa.compute.sum(pa.compute.list_value_length(group["spans"])).as_py()
+    assert calls == [(group.num_rows, n_spans)]
+
+    calls.clear()
+    monkeypatch.setattr(render_stage, "SLICE_SPANS", 60)
+    whole = _route_corpus()[0]
+    pages = list(render_stage.render_pages(whole, 8))
+    assert len(pages) == len(calls) > 1
+    assert sum(rows for rows, _ in calls) == whole.num_rows
+    assert all(spans <= 60 or rows == 1 for rows, spans in calls), calls
+    assert any(rows > 1 for rows, _ in calls)  # small docs share a call
 
 
 def _write_corpus_files(directory, n_files):
@@ -919,6 +968,37 @@ def test_resume_refuses_flipped_parameter(ray_session, tmp_path):
         json.dump({"n_buckets": 4}, f)
     with pytest.raises(ValueError, match="older version"):
         run_extraction(read_corpus(corpus), out, n_buckets=4)
+
+
+def test_run_extraction_waits_for_lock(ray_session, tmp_path):
+    """While another holder has the output dir's lock, run_extraction
+    waits before its resume guard, and runs once the lock is released."""
+    import fcntl
+    import threading
+    import time
+
+    from pdf_parser_ray.sources import read_corpus
+
+    corpus, out = str(tmp_path / "corpus"), str(tmp_path / "ckpt")
+    _write_corpus_files(corpus, 2)
+    os.makedirs(out)
+    summary = {}
+
+    def run():
+        summary.update(run_extraction(read_corpus(corpus), out, n_buckets=4))
+
+    with open(os.path.join(out, ".lock"), "w") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        second = threading.Thread(target=run, daemon=True)
+        second.start()
+        time.sleep(2)
+        waited = second.is_alive() and not os.path.exists(
+            os.path.join(out, "_manifest", "run.json")
+        )
+        fcntl.flock(lock, fcntl.LOCK_UN)
+    second.join(timeout=120)
+    assert waited and not second.is_alive()
+    assert summary["docs_parsed"] == 12
 
 
 def test_read_extraction_of_empty_corpus(ray_session, tmp_path):
