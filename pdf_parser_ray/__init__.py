@@ -9,8 +9,7 @@ processed as a streaming ``ray.data.Dataset`` pipeline —
     read (lance|parquet)
       -> map_batches(_tag_buckets)                   # append bucket = hash(doc_id) % B
       -> groupby(bucket).map_groups(assemble_bucket) # THE shuffle: corpus rows; per
-                                                     # slice of <= SLICE_SPANS spans: one
-                                                     # decode, render + assemble each doc
+                                                     # SLICE_SPANS slices: decode, render, assemble
       -> write partitioned parquet (per-bucket checkpoints + lineage/metrics)
 
 Every extraction route, and ``page_range``, runs one span-capped loop,

@@ -47,9 +47,11 @@ from pdf_parser_ray.stages.render_stage import (
     render_pages,
 )
 
-# whole docs per batch of the fused map and of page_rows, so Ray's per-batch
-# cost is small; the kernel's SLICE_SPANS, not this count, bounds the heap
-MAP_BATCH_DOCS = 256
+# whole docs per batch of extract_fused and page_rows. SLICE_SPANS bounds
+# the spans a task decodes, but Ray buffers the page rows a render_pages task
+# emits into one output block (up to 128 MiB), so page_rows keeps small batches
+FUSED_BATCH_DOCS = 256
+RENDER_BATCH_DOCS = 32
 
 
 def page_rows(
@@ -61,7 +63,7 @@ def page_rows(
         render_pages,
         fn_kwargs={"n_buckets": n_buckets},
         batch_format="pyarrow",
-        batch_size=MAP_BATCH_DOCS,
+        batch_size=RENDER_BATCH_DOCS,
     )
 
 
@@ -149,7 +151,7 @@ def extract_fused(
             )
         return assemble_docs(batch, n_buckets, strip_boilerplate)
 
-    return corpus_ds.map_batches(fused, batch_format="pyarrow", batch_size=MAP_BATCH_DOCS)
+    return corpus_ds.map_batches(fused, batch_format="pyarrow", batch_size=FUSED_BATCH_DOCS)
 
 
 def fragmented_doc_ids(

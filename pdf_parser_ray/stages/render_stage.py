@@ -4,8 +4,8 @@
 extraction route (through ``stages.assemble_stage.assemble_docs``) and by
 ``page_range`` (:func:`render_pages`): slices of whole docs of at most
 ``SLICE_SPANS`` spans, each decoded in one :func:`decode_spans` call, so
-the cap bounds a task's Python heap whatever its batch holds. Regex banks
-warm at module import per worker process (SURVEY.md §2.3 ST1).
+the cap bounds the spans a task decodes at once. Regex banks warm at
+module import per worker process (SURVEY.md §2.3 ST1).
 
 :func:`decode_spans` reads a ``spans`` list column child column by child
 column instead of calling ``to_pylist()``, which builds every span dict
@@ -168,24 +168,23 @@ def render_slices(
     batch: pa.Table, n_buckets: int
 ) -> Iterator[list[tuple[str, list[dict[str, Any]]]]]:
     """Corpus rows, each doc's rows next to each other -> per slice of
-    whole docs (at most ``SLICE_SPANS`` spans, or one larger doc), the
-    (doc_id, page rows) of its docs. Each row renders on its own (a
-    fragmented doc's fragments separately); a doc's page rows are then
-    ordered by (page, page_order), the oracle's stable-sort tie-break."""
+    whole docs (at most ``SLICE_SPANS`` spans, or one larger doc), each
+    doc's (doc_id, page rows): every row renders on its own, then a doc's
+    rows sort by (page, page_order), the oracle's stable-sort tie-break."""
     ids = [str(d) for d in batch["doc_id"].to_pylist()]
     starts = [i for i, d in enumerate(ids) if not i or d != ids[i - 1]] + [len(ids)]
     counts = _span_counts(batch).to_pylist()
     doc_counts = [sum(counts[a:b]) for a, b in zip(starts, starts[1:])]
     for first, last in _span_slices(doc_counts, SLICE_SPANS):
-        lo, hi = starts[first], starts[last]
-        spans = decode_spans(batch["spans"].slice(lo, hi - lo))
-        docs: dict[str, list[dict[str, Any]]] = {}
-        for doc_id, doc_spans in zip(ids[lo:hi], spans):
-            rows = render_doc(doc_id, doc_spans, bucket_of(doc_id, n_buckets))
-            docs.setdefault(doc_id, []).extend(rows)
-        for rows in docs.values():
+        lo = starts[first]
+        spans = decode_spans(batch["spans"].slice(lo, starts[last] - lo))
+        docs = []
+        for a, b in zip(starts[first:last], starts[first + 1 : last + 1]):
+            doc_id, bucket = ids[a], bucket_of(ids[a], n_buckets)
+            rows = [row for s in spans[a - lo : b - lo] for row in render_doc(doc_id, s, bucket)]
             rows.sort(key=lambda r: (r["page"], r["page_order"]))
-        yield list(docs.items())
+            docs.append((doc_id, rows))
+        yield docs
 
 
 def render_pages(batch: pa.Table, n_buckets: int) -> Iterator[pa.Table]:

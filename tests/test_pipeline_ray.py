@@ -9,6 +9,7 @@
 - checkpointed run resumes by skipping completed buckets
 """
 
+import contextlib
 import os
 import shutil
 
@@ -970,34 +971,47 @@ def test_resume_refuses_flipped_parameter(ray_session, tmp_path):
         run_extraction(read_corpus(corpus), out, n_buckets=4)
 
 
-def test_run_extraction_waits_for_lock(ray_session, tmp_path):
+def test_run_extraction_waits_for_lock(ray_session, tmp_path, monkeypatch):
     """While another holder has the output dir's lock, run_extraction
-    waits before its resume guard, and runs once the lock is released."""
+    blocks on it before its resume guard, and runs once it is released."""
     import fcntl
     import threading
-    import time
 
     from pdf_parser_ray.sources import read_corpus
+    from pdf_parser_ray.state import checkpoint
 
     corpus, out = str(tmp_path / "corpus"), str(tmp_path / "ckpt")
     _write_corpus_files(corpus, 2)
     os.makedirs(out)
+    corpus_ds = read_corpus(corpus)
+    asked, held = threading.Event(), threading.Event()
+    real_lock = checkpoint.dir_lock
+
+    @contextlib.contextmanager
+    def spy_lock(directory):
+        asked.set()
+        with real_lock(directory):
+            held.set()
+            yield
+
+    monkeypatch.setattr(checkpoint, "dir_lock", spy_lock)
     summary = {}
 
     def run():
-        summary.update(run_extraction(read_corpus(corpus), out, n_buckets=4))
+        summary.update(run_extraction(corpus_ds, out, n_buckets=4))
 
     with open(os.path.join(out, ".lock"), "w") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
         second = threading.Thread(target=run, daemon=True)
         second.start()
-        time.sleep(2)
-        waited = second.is_alive() and not os.path.exists(
+        assert asked.wait(timeout=60), "run_extraction never asked for the lock"
+        held.wait(timeout=1)
+        blocked = not held.is_set() and not os.path.exists(
             os.path.join(out, "_manifest", "run.json")
         )
         fcntl.flock(lock, fcntl.LOCK_UN)
     second.join(timeout=120)
-    assert waited and not second.is_alive()
+    assert blocked and held.is_set() and not second.is_alive()
     assert summary["docs_parsed"] == 12
 
 
