@@ -120,11 +120,11 @@ def _q_extract_stats(sf_dir: str):
     (strip_boilerplate=False keeps n_spans closed-form: the boiler-line
     threshold math is pinned by pytest instead — doclogic/render.py:284).
     The TOC/section counts stay on the full stats_table op and its tests."""
-    from pdf_parser_ray.pipelines import extract_fused, stats_table
+    from pdf_parser_ray.pipelines import extract_hybrid, stats_table
     from pdf_parser_ray.sources import corpus_from_documents
 
     st = stats_table(
-        extract_fused(corpus_from_documents(sf_dir), strip_boilerplate=False)
+        extract_hybrid(corpus_from_documents(sf_dir), strip_boilerplate=False)
     ).select_columns(
         [
             "doc_id",
@@ -143,12 +143,12 @@ def _q_extract_stats(sf_dir: str):
 
 
 def _q_extract_span_kinds(sf_dir: str):
-    from pdf_parser_ray.pipelines import extract_fused, flat_spans
+    from pdf_parser_ray.pipelines import extract_hybrid, flat_spans
     from pdf_parser_ray.sources import corpus_from_documents
     from ray.data.aggregate import Count
 
     spans = flat_spans(
-        extract_fused(corpus_from_documents(sf_dir), strip_boilerplate=False)
+        extract_hybrid(corpus_from_documents(sf_dir), strip_boilerplate=False)
     )
     return spans.groupby("kind").aggregate(Count(alias_name="n")).sort("kind")
 
@@ -1003,11 +1003,11 @@ def _q_term_search(sf_dir: str):
 def _q_validation_summary(sf_dir: str):
     import pandas as pd
 
-    from pdf_parser_ray.pipelines import extract_fused
+    from pdf_parser_ray.pipelines import extract_hybrid
     from pdf_parser_ray.pipelines.validation import validation_summary
     from pdf_parser_ray.sources import corpus_from_documents
 
-    summary = validation_summary(extract_fused(corpus_from_documents(sf_dir)))
+    summary = validation_summary(extract_hybrid(corpus_from_documents(sf_dir)))
     flat = {k: v for k, v in summary.items() if not isinstance(v, dict)}
     flat.update(
         {f"coverage_{k}": v for k, v in summary["enhanced_coverage_metrics"].items()}
@@ -1333,11 +1333,11 @@ def _q_media_features(sf_dir: str):
     ref, decoded by the pure-numpy PNM parser — dimensions and byte counts
     hash-verified against the closed-form SQL oracle."""
     from pdf_parser_ray.ops.multimodal import media_features, media_inventory
-    from pdf_parser_ray.pipelines import extract_fused
+    from pdf_parser_ray.pipelines import extract_hybrid
     from pdf_parser_ray.sources import corpus_from_documents
 
     media = media_inventory(
-        extract_fused(corpus_from_documents(sf_dir)), synth_payloads=True
+        extract_hybrid(corpus_from_documents(sf_dir)), synth_payloads=True
     )
     return _int_doc_id(media_features(media, fake=False).drop_columns(["feature"]))
 
@@ -1386,11 +1386,11 @@ def _q_media_features_jpeg(sf_dir: str):
     pixel values are excluded: entropy-coded length has no closed form
     and the transform is lossy)."""
     from pdf_parser_ray.ops.multimodal import media_features, media_inventory
-    from pdf_parser_ray.pipelines import extract_fused
+    from pdf_parser_ray.pipelines import extract_hybrid
     from pdf_parser_ray.sources import corpus_from_documents
 
     media = media_inventory(
-        extract_fused(corpus_from_documents(sf_dir)),
+        extract_hybrid(corpus_from_documents(sf_dir)),
         synth_payloads=True,
         synth_format="jpeg",
     )
@@ -1408,11 +1408,11 @@ def _q_media_features_wav(sf_dir: str):
     closed-form SQL oracle (RMS is excluded: digest-tiled sample values
     have no closed form)."""
     from pdf_parser_ray.ops.multimodal import audio_features, media_inventory
-    from pdf_parser_ray.pipelines import extract_fused
+    from pdf_parser_ray.pipelines import extract_hybrid
     from pdf_parser_ray.sources import corpus_from_documents
 
     media = media_inventory(
-        extract_fused(corpus_from_documents(sf_dir)),
+        extract_hybrid(corpus_from_documents(sf_dir)),
         synth_payloads=True,
         synth_format="wav",
     )
@@ -1439,11 +1439,11 @@ def _q_resize_images(sf_dir: str):
     round_even); the resized PNG bytes are pinned by round-trip tests,
     not the oracle (DEFLATE length has no closed form)."""
     from pdf_parser_ray.ops.multimodal import media_inventory, resize_media
-    from pdf_parser_ray.pipelines import extract_fused
+    from pdf_parser_ray.pipelines import extract_hybrid
     from pdf_parser_ray.sources import corpus_from_documents
 
     media = media_inventory(
-        extract_fused(corpus_from_documents(sf_dir)),
+        extract_hybrid(corpus_from_documents(sf_dir)),
         synth_payloads=True,
         synth_format="jpeg",
     )
@@ -1461,11 +1461,11 @@ def _q_media_probe_mp4(sf_dir: str):
     duration, track count and video dimensions hash-verified against the
     closed-form SQL oracle. Frame decode stays honestly codec-gated."""
     from pdf_parser_ray.ops.multimodal import media_inventory, video_probe
-    from pdf_parser_ray.pipelines import extract_fused
+    from pdf_parser_ray.pipelines import extract_hybrid
     from pdf_parser_ray.sources import corpus_from_documents
 
     media = media_inventory(
-        extract_fused(corpus_from_documents(sf_dir)),
+        extract_hybrid(corpus_from_documents(sf_dir)),
         synth_payloads=True,
         synth_format="mp4",
     )
@@ -1479,11 +1479,11 @@ def _q_media_features_png(sf_dir: str):
     closed-form SQL oracle (byte count is excluded: DEFLATE length has
     no closed form)."""
     from pdf_parser_ray.ops.multimodal import media_features, media_inventory
-    from pdf_parser_ray.pipelines import extract_fused
+    from pdf_parser_ray.pipelines import extract_hybrid
     from pdf_parser_ray.sources import corpus_from_documents
 
     media = media_inventory(
-        extract_fused(corpus_from_documents(sf_dir)),
+        extract_hybrid(corpus_from_documents(sf_dir)),
         synth_payloads=True,
         synth_format="png",
     )

@@ -12,10 +12,17 @@ processed as a streaming ``ray.data.Dataset`` pipeline —
                                                      # SLICE_SPANS slices: decode, render, assemble
       -> write partitioned parquet (per-bucket checkpoints + lineage/metrics)
 
-Every extraction route, and ``page_range``, runs one span-capped loop,
+That is ``state.run_extraction``; ``extract`` is the same plan without the
+write, and the plan for corpora that may be fragmented (the groupby merges
+a doc's fragments). ``extract_hybrid``, the planner for whole-document
+corpora, runs ``extract`` only when one read block holds too many giant
+docs' spans, and otherwise the same loop with no shuffle:
+
+    read -> map_batches(fused)                       # per batch of whole docs
+
+Every plan, and ``page_range``, runs one span-capped loop,
 ``stages.render_stage.render_slices`` (decode -> ``stages.render_doc``);
-the routes assemble its docs with ``stages.assemble_doc_rows``.
-``extract_fused`` runs the same loop with no shuffle.
+the plans assemble its docs with ``stages.assemble_doc_rows``.
 
 Per-document semantics (page render, metadata regexes, 3-pass TOC parse,
 heading strategies, section assembly) live in :mod:`pdf_parser_ray.doclogic`

@@ -30,7 +30,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from pdf_parser_ray.functions.hashing import md5_64, md5_bucket
+from pdf_parser_ray.functions.hashing import md5_64, md5_bucket, md5_u64
 from pdf_parser_ray.functions.tables import schema_pin
 
 _MERSENNE = (1 << 61) - 1
@@ -207,7 +207,7 @@ class MinHasher:
         if not shingles:
             return None
         base = np.array(
-            [int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "big") % self._P for s in shingles],
+            [md5_u64(s) % self._P for s in shingles],
             dtype=np.int64,
         )
         # (num_perm, n_shingles) universal hash, min over shingles
@@ -1884,28 +1884,28 @@ def dedup_lines(
 
     removal_schema = pa.schema([("doc", pa.string()), ("idx", pa.int64())])
 
-    def losers(group: pd.DataFrame) -> pd.DataFrame:
+    def losers(group: pd.DataFrame) -> pa.Table:
+        # an Arrow table, never a zero-row pandas frame: Ray fails to size
+        # that frame's empty object column and logs an error per block
         g = group[["lh", "doc", "idx"]]
-        if g.empty:
-            return pd.DataFrame(
-                {"doc": pd.Series([], dtype=str), "idx": pd.Series([], dtype="int64")}
-            )
         # "first occurrence" must be ONE total order corpus-wide: decided
         # once from the source schema (the connected_components numeric-id
         # convention), never re-inferred per bucket — a per-group reparse
         # would let numeric and lexicographic orders coexist across hashes
         order_key = g["doc"].astype("int64") if numeric_ids else g["doc"]
         g = g.assign(_ord=order_key).sort_values(["lh", "_ord", "idx"])
-        dup = g.duplicated(subset="lh", keep="first")
-        return g.loc[dup, ["doc", "idx"]]
+        g = g[g.duplicated(subset="lh", keep="first")]
+        return pa.table(
+            [pa.array(g["doc"], pa.string()), pa.array(g["idx"], pa.int64())],
+            schema=removal_schema,
+        )
 
     removals = (
         ds.select_columns([id_col, text_col])
         .map_batches(candidates, batch_format="pyarrow")
         .groupby("_b")
         .map_groups(losers, batch_format="pandas")
-        .map_batches(schema_pin(removal_schema), batch_format="pyarrow")
-        .materialize()  # removal-sized; pinned once for count + either route
+        .materialize()  # removal-sized; run once for count + either route
     )
 
     if removals.count() > broadcast_max_removals:

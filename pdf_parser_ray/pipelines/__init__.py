@@ -2,7 +2,6 @@
 
 from pdf_parser_ray.pipelines.extract import (  # noqa: F401
     extract,
-    extract_fused,
     extract_hybrid,
     flat_spans,
     metadata_table,

@@ -1,24 +1,24 @@
 """The flagship main-content extraction pipeline.
 
-Every route runs one loop, ``stages.assemble_docs`` over the span-capped
+Every plan runs one loop, ``stages.assemble_docs`` over the span-capped
 slices of ``stages.render_stage.render_slices`` (which ``page_range``
-shares), and differs only in what feeds it:
+shares), and differs only in what feeds it. :func:`extract_hybrid`, the
+planner for whole-document corpora, measures the corpus once and runs one
+plan over all of it: ``map_batches(fused)``, ``assemble_docs`` per batch
+with no shuffle, or, when one read block would be the map's critical path,
+:func:`extract`:
 
     corpus (doc_id, spans)
       -> map_batches(_tag_buckets)                   # + bucket column
       -> groupby(bucket).map_groups(assemble_bucket) # assemble_docs per bucket
       -> Dataset[DOC_RESULT]                         # all outputs, one row/doc
 
-The shuffle moves corpus rows (one per doc, or per fragment of a doc),
-never rendered page rows: render and assembly each run once per doc in one
-task, so a page-row fan-out would split no work and move a row per page.
-
-``extract_fused`` is the no-shuffle fast path for when corpus rows are whole
-documents (the common read_lance layout): ``assemble_docs`` over each
-``map_batches`` batch — identical rows, verified equal in tests.
-
-``extract_hybrid`` is the flagship: it measures the corpus once and runs
-exactly one of those two plans over all of it.
+``extract`` is also the plan for a corpus that may be fragmented (a doc
+split over several corpus rows, found by :func:`fragmented_doc_ids`): its
+groupby merges the fragments. The shuffle moves corpus rows (one per doc,
+or per fragment of a doc), never rendered page rows: render and assembly
+each run once per doc in one task, so a page-row fan-out would split no
+work and move a row per page.
 
 Projections (:func:`toc_table` etc.) turn the combined result into the
 reference's four logical output tables (SURVEY.md §1.2) as streaming
@@ -28,6 +28,7 @@ caller materializes or (preferred) reads back a written extraction.
 
 from __future__ import annotations
 
+import logging
 from typing import Any, Callable, Collection, Optional
 
 import pyarrow as pa
@@ -47,11 +48,14 @@ from pdf_parser_ray.stages.render_stage import (
     render_pages,
 )
 
-# whole docs per batch of extract_fused and page_rows. SLICE_SPANS bounds
-# the spans a task decodes, but Ray buffers the page rows a render_pages task
-# emits into one output block (up to 128 MiB), so page_rows keeps small batches
+# whole docs per batch of extract_hybrid's map and of page_rows. SLICE_SPANS
+# bounds the spans a task decodes, but Ray buffers the page rows a render_pages
+# task emits into one output block (up to 128 MiB), so page_rows keeps small
+# batches
 FUSED_BATCH_DOCS = 256
 RENDER_BATCH_DOCS = 32
+
+logger = logging.getLogger("pdf_parser_ray")
 
 
 def page_rows(
@@ -122,48 +126,23 @@ def extract(
     (tests/test_pipeline_ray.py::test_doc_split_across_corpus_rows).
     Precondition on fragments: page-aligned splits carrying global page
     numbers, with no page number repeated ACROSS fragments (within one
-    fragment duplicates are ordered by page_order). ``extract_fused``
+    fragment duplicates are ordered by page_order). ``extract_hybrid``
     requires whole-doc rows."""
     return _per_bucket(
         corpus_ds, n_buckets, assemble_bucket, strip_boilerplate=strip_boilerplate
     )
 
 
-def extract_fused(
-    corpus_ds: ray.data.Dataset,
-    n_buckets: int = DEFAULT_N_BUCKETS,
-    strip_boilerplate: bool = True,
-) -> ray.data.Dataset:
-    """No-shuffle fast path for whole-document rows, one stage:
-    ``assemble_docs`` over each batch, in slices of ``SLICE_SPANS`` spans."""
-
-    def fused(batch: pa.Table) -> pa.Table:
-        ids = [str(d) for d in batch["doc_id"].to_pylist()]
-        if len(set(ids)) != len(ids):
-            seen: set = set()
-            dup = next(d for d in ids if d in seen or seen.add(d))
-            raise ValueError(
-                f"extract_fused requires whole-document rows; doc_id {dup!r} "
-                "appears in multiple corpus rows (fragmented corpus) — use "
-                "extract(), whose groupby merges fragments. This block-level "
-                "check catches adjacent fragments; use "
-                "assert_whole_doc_rows() for a corpus-wide guarantee."
-            )
-        return assemble_docs(batch, n_buckets, strip_boilerplate)
-
-    return corpus_ds.map_batches(fused, batch_format="pyarrow", batch_size=FUSED_BATCH_DOCS)
-
-
 def fragmented_doc_ids(
     ds: ray.data.Dataset, id_col: str = "doc_id"
 ) -> ray.data.Dataset:
     """(doc_id: string, n) rows for every doc_id spanning multiple corpus
-    rows — the exact distributed fragmentation census behind both
-    :func:`assert_whole_doc_rows` and extract_hybrid's ``route`` policy.
+    rows — the exact distributed fragmentation census behind
+    :func:`assert_whole_doc_rows`. A corpus for which it is non-empty runs
+    through :func:`extract`, whose groupby merges fragments.
 
     Cost shape: per-batch partial id-counts, then one coarse-bucket groupby
     over (id, n) rows — ids and small ints shuffle, never span payloads."""
-    import pandas as pd
 
     def partial(batch: pa.Table) -> pa.Table:
         ids = pa.compute.cast(batch[id_col], pa.string())
@@ -180,38 +159,30 @@ def fragmented_doc_ids(
             }
         )
 
-    def dups(group: pd.DataFrame) -> pd.DataFrame:
-        agg = group.groupby("doc_id", as_index=False)["n"].sum()
-        return agg[agg["n"] > 1][["doc_id", "n"]]
-
-    from pdf_parser_ray.functions.tables import schema_pin
+    def dups(group: pa.Table) -> pa.Table:
+        agg = group.group_by("doc_id").aggregate([("n", "sum")])
+        agg = agg.filter(pa.compute.greater(agg["n_sum"], 1))
+        return pa.table({"doc_id": agg["doc_id"], "n": agg["n_sum"]})
 
     return (
         ds.select_columns([id_col])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("_b")
-        .map_groups(dups, batch_format="pandas")
-        .map_batches(
-            schema_pin(pa.schema([("doc_id", pa.string()), ("n", pa.int64())])),
-            batch_format="pyarrow",
-        )
+        .map_groups(dups, batch_format="pyarrow")
     )
 
 
 def assert_whole_doc_rows(ds: ray.data.Dataset, id_col: str = "doc_id") -> None:
-    """Corpus-wide fragmentation guard for the fused/hybrid paths: raise if
-    any doc_id spans multiple corpus rows.
-
-    The free block-level check inside extract_fused catches adjacent
-    fragments; this pass is the opt-in exact guarantee
-    (``extract_hybrid(..., strict_fragment_check=True)``)."""
+    """Raise if any doc_id spans multiple corpus rows: the exact,
+    corpus-wide check before :func:`extract_hybrid`, whose map raises only
+    on fragments that share a batch."""
     offenders = fragmented_doc_ids(ds, id_col).limit(5).take_all()
     if offenders:
         sample = ", ".join(f"{r['doc_id']}×{r['n']}" for r in offenders)
         raise ValueError(
             "fragmented corpus: doc_ids appear in multiple rows "
-            f"(e.g. {sample}); extract_fused/extract_hybrid require "
-            "whole-document rows — use extract() for fragmented corpora"
+            f"(e.g. {sample}); extract_hybrid requires whole-document rows "
+            "— use extract() for fragmented corpora"
         )
 
 
@@ -238,57 +209,62 @@ def extract_hybrid(
     n_buckets: int = DEFAULT_N_BUCKETS,
     strip_boilerplate: bool = True,
     giant_span_threshold: int = 512,
-    strict_fragment_check: bool = False,
-    on_fragments: str = "raise",
 ) -> ray.data.Dataset:
-    """Skew-aware flagship: one plan for the whole corpus.
+    """Skew-aware flagship for whole-document corpora: one plan for the
+    whole corpus.
 
-    The plan is ``extract_fused`` (map-only, no data movement) unless one
-    read block would be the map's critical path: when the heaviest block's
-    spans in rows above ``giant_span_threshold``, times the session's CPUs,
-    exceed the corpus's total spans (one census pass, run eagerly when this
-    is called), the corpus runs through ``extract()``, whose groupby(bucket)
-    shuffle scatters those giants over tasks by hash. Either way a doc is
-    rendered and assembled inside one task, as the reference's PageManager
-    dict (page_manager.py:20-27) never leaves one process for a document.
+    The plan is a map with no data movement, ``assemble_docs`` over each
+    batch of ``FUSED_BATCH_DOCS`` docs, unless one read block would be the
+    map's critical path: when the heaviest block's spans in rows above
+    ``giant_span_threshold``, times the session's CPUs, exceed the corpus's
+    total spans (one census pass, run eagerly when this is called), the
+    corpus runs through ``extract()``, whose groupby(bucket) shuffle
+    scatters those giants over tasks by hash. Either way a doc is rendered
+    and assembled inside one task, as the reference's PageManager dict
+    (page_manager.py:20-27) never leaves one process for a document. The
+    choice and the numbers behind it go to the ``pdf_parser_ray`` logger at
+    INFO.
 
     ``corpus_factory``: a zero-arg callable returning the corpus Dataset,
-    or a Dataset. It is called once: the id-count pass, the census and the
-    plan all branch lazily from that one Dataset, so a ``read_parquet``
-    plans its read (file listing, metadata, sampling) once. Each pass still
-    executes the upstream, i.e. scans the source.
+    or a Dataset. It is called once: the census and the plan both branch
+    lazily from that one Dataset, so a ``read_parquet`` plans its read (file
+    listing, metadata, sampling) once. Each pass still executes the
+    upstream, i.e. scans the source.
 
-    The fused map REQUIRES whole-document rows (a fragmented doc's
-    fragments would be assembled independently into duplicate doc_id
-    rows). extract_fused always raises on a duplicate doc_id within a batch
-    (free, catches adjacent fragments, the common writer pattern), and
-    ``on_fragments`` picks the corpus-wide policy:
-
-    - ``"raise"`` (default): with ``strict_fragment_check=True``, run the
-      exact distributed id-count pass (:func:`fragmented_doc_ids`) and
-      fail loudly before any wrong row is produced.
-    - ``"route"``: always run the id-count pass; a corpus holding any
-      fragmented doc (at 100 TB, writers WILL split giant documents across
-      storage blocks) runs through :func:`extract`, whose groupby merges
-      fragments.
+    The map REQUIRES whole-document rows (a fragmented doc's fragments would
+    be assembled independently into duplicate doc_id rows). It raises on a
+    duplicate doc_id within a batch, which catches adjacent fragments, the
+    common writer pattern. For a corpus that may be fragmented, check it
+    with :func:`assert_whole_doc_rows`, or run :func:`extract` when
+    :func:`fragmented_doc_ids` is non-empty.
     """
-
-    if on_fragments not in ("raise", "route"):
-        raise ValueError(
-            f"on_fragments must be 'raise' or 'route', got {on_fragments!r}"
-        )
     corpus = corpus_factory() if callable(corpus_factory) else corpus_factory
-
-    if on_fragments == "route":
-        if fragmented_doc_ids(corpus).limit(1).take_all():
-            return extract(corpus, n_buckets, strip_boilerplate)
-    elif strict_fragment_check:
-        assert_whole_doc_rows(corpus)
-
     heaviest, total = _size_census(corpus, giant_span_threshold)
-    if heaviest * ray.cluster_resources()["CPU"] > total:
+    cpus = ray.cluster_resources()["CPU"]
+    plan = "extract" if heaviest * cpus > total else "fused"
+    logger.info(
+        "extract_hybrid plan=%s: heaviest block's giant spans %d, total spans "
+        "%d, %g CPUs, giant_span_threshold %d",
+        plan, heaviest, total, cpus, giant_span_threshold,
+    )
+    if plan == "extract":
         return extract(corpus, n_buckets, strip_boilerplate)
-    return extract_fused(corpus, n_buckets, strip_boilerplate)
+
+    def fused(batch: pa.Table) -> pa.Table:
+        ids = [str(d) for d in batch["doc_id"].to_pylist()]
+        if len(set(ids)) != len(ids):
+            seen: set = set()
+            dup = next(d for d in ids if d in seen or seen.add(d))
+            raise ValueError(
+                f"extract_hybrid requires whole-document rows; doc_id {dup!r} "
+                "appears in multiple corpus rows (fragmented corpus) — use "
+                "extract(), whose groupby merges fragments. This batch-level "
+                "check catches adjacent fragments; use "
+                "assert_whole_doc_rows() for a corpus-wide guarantee."
+            )
+        return assemble_docs(batch, n_buckets, strip_boilerplate)
+
+    return corpus.map_batches(fused, batch_format="pyarrow", batch_size=FUSED_BATCH_DOCS)
 
 
 # ---- projections to the reference's logical output tables -----------------

@@ -2,7 +2,7 @@
 
 :func:`assemble_doc_rows` is the ONE per-document assembly step and
 :func:`assemble_docs` the one loop applying it to each ``render_slices``
-slice: on whole-doc batches in ``extract_fused`` and on one bucket in
+slice: on whole-doc batches in ``extract_hybrid``'s map and on one bucket in
 :func:`assemble_bucket`.
 
 The shuffled routes group CORPUS rows (doc_id, spans, bucket) by

@@ -60,6 +60,28 @@ def test_minhash_finds_planted_near_dup(docs_with_dups):
     assert all("c1" not in p and "d1" not in p for p in got)
 
 
+def test_one_md5_hashing_module():
+    """md5's 64-bit integer is spelled out in functions/hashing.py only:
+    md5_u64 is the 8 leading digest bytes big-endian, md5_64 that >> 1, and
+    no other module of the package converts a digest itself."""
+    import hashlib
+    import pathlib
+
+    from pdf_parser_ray.functions import hashing
+
+    for s in ("", "doc-0", "é文"):
+        want = int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "big")
+        assert (hashing.md5_u64(s), hashing.md5_64(s)) == (want, want >> 1)
+    home = pathlib.Path(hashing.__file__)
+    package = home.parent.parent
+    spelled = [
+        str(p.relative_to(package))
+        for p in sorted(package.rglob("*.py"))
+        if p != home and "int.from_bytes(hashlib.md5(" in p.read_text(encoding="utf-8")
+    ]
+    assert spelled == []
+
+
 def test_ngram_jaccard_scalar():
     assert dedup.ngram_jaccard("a b c d e f", "a b c d e f") == 1.0
     assert dedup.ngram_jaccard("a b c d e f", "x y z w v u") == 0.0

@@ -3,7 +3,7 @@
 - span-sequence equality (kind, text, media_ref, order) per doc_id between
   the Ray pipeline and the single-process oracle
 - scale invariance: parallelism 1 vs 4 produce identical sorted output
-- fused (no-shuffle) path equals the standard shuffle path
+- extract_hybrid's map (no shuffle) equals the standard shuffle path
 - every extraction route gives identical DOC_RESULT rows, also under the
   engine's own DataContext, and a corpus without giants plans no shuffle
 - checkpointed run resumes by skipping completed buckets
@@ -20,7 +20,7 @@ import ray.data
 from pdf_parser_ray.doclogic import run_document
 from pdf_parser_ray.pipelines import (
     extract,
-    extract_fused,
+    extract_hybrid,
     metadata_table,
     sections_table,
     toc_table,
@@ -82,6 +82,12 @@ def _route_corpus():
     return table, n_spans
 
 
+def _above_max(table):
+    """A giant_span_threshold above every doc's span count: extract_hybrid
+    then runs its map whatever the session's CPUs."""
+    return pa.compute.max(pa.compute.list_value_length(table["spans"])).as_py() + 1
+
+
 def _by_doc(ds):
     return sorted(ds.take_all(), key=lambda r: r["doc_id"])
 
@@ -98,8 +104,6 @@ def _assert_rows_equal(routes, want):
 def test_all_routes_equal(ray_session, tmp_path):
     """Every route gives the same DOC_RESULT rows — all columns, one
     n_buckets — including null, empty and malformed span payloads."""
-    from pdf_parser_ray.pipelines import extract_hybrid
-
     table, n_spans = _route_corpus()
 
     def make():
@@ -112,11 +116,9 @@ def test_all_routes_equal(ray_session, tmp_path):
     failed = {r["doc_id"] for r in want if r["parse_failure"]}
     assert failed == {"bad-offsets"}
     routes = {
-        "extract_fused": extract_fused(make(), n_buckets=8),
         # on 4 CPUs one block's giants outweigh a quarter of the spans at
-        # threshold 60 and at the default 512, so these two run extract()
+        # threshold 60, so this runs extract()
         "hybrid_split": extract_hybrid(make, n_buckets=8, giant_span_threshold=60),
-        "hybrid_route": extract_hybrid(make, n_buckets=8, on_fragments="route"),
         # above the corpus maximum: no giants, so the fused map
         "hybrid_no_giant": extract_hybrid(
             make, n_buckets=8, giant_span_threshold=max(n_spans) + 1
@@ -136,10 +138,8 @@ def test_all_routes_equal(ray_session, tmp_path):
 
 
 def test_hybrid_plans_only_nonempty_branches(ray_session):
-    """A corpus without giants runs extract_fused alone: the executed plan
-    has no Sort (the reassembly shuffle) and no Union."""
-    from pdf_parser_ray.pipelines import extract_hybrid
-
+    """A corpus without giants runs extract_hybrid's map alone: the
+    executed plan has no Sort (the reassembly shuffle) and no Union."""
     table, n_spans = _route_corpus()
     ds = extract_hybrid(
         lambda: ray.data.from_arrow(table),
@@ -248,14 +248,19 @@ def test_scale_invariance(ray_session, corpus_table):
 
 
 def test_fused_equals_standard(ray_session, corpus_table, oracle):
-    fused = extract_fused(ray.data.from_arrow(corpus_table).repartition(6))
+    fused = extract_hybrid(
+        ray.data.from_arrow(corpus_table).repartition(6),
+        giant_span_threshold=_above_max(corpus_table),
+    )
     rows = fused.to_pandas()
     for _, row in rows.iterrows():
         assert spans_key(row["spans"]) == spans_key(oracle[row["doc_id"]]["spans"])
 
 
 def test_projections(ray_session, corpus_table, oracle):
-    results = extract_fused(ray.data.from_arrow(corpus_table))
+    results = extract_hybrid(
+        ray.data.from_arrow(corpus_table), giant_span_threshold=_above_max(corpus_table)
+    )
     toc_rows = toc_table(results).to_pandas()
     sec_rows = sections_table(results).to_pandas()
     md_rows = metadata_table(results).to_pandas()
@@ -382,71 +387,52 @@ def _fragmented_corpus():
     return rows
 
 
-def test_hybrid_routes_fragmented_docs(ray_session):
-    """on_fragments='route': fragmented doc_ids detour through extract()'s
-    merging groupby instead of raising — rows identical to extract()."""
-    from pdf_parser_ray.pipelines import extract_hybrid
-
-    rows = _fragmented_corpus()
-
-    def make():
-        return ray.data.from_items(rows).repartition(3)
-
-    got = (
-        extract_hybrid(
-            make,
-            giant_span_threshold=60,
-            strict_fragment_check=True,
-            on_fragments="route",
-        )
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    want = extract(make(), n_buckets=8).to_pandas().sort_values("doc_id").reset_index(drop=True)
-    assert list(got.doc_id) == list(want.doc_id)
-    assert len(got) == len(rows) - 1  # the two fragments merged to one row
-    for i in range(len(got)):
-        assert spans_key(got.iloc[i]["spans"]) == spans_key(want.iloc[i]["spans"])
-        assert got.iloc[i]["n_sections"] == want.iloc[i]["n_sections"]
-
-
-@pytest.mark.parametrize(
-    "kwargs", [{}, {"strict_fragment_check": True}, {"on_fragments": "route"}],
-    ids=["default", "strict", "route"],
-)
-def test_hybrid_reads_corpus_once(ray_session, kwargs):
-    """extract_hybrid calls its corpus factory once: the id-count pass, the
-    census and every branch (small, giant and, on the route path, the
-    fragmented one) branch from that one Dataset."""
-    from pdf_parser_ray.pipelines import extract_hybrid
-
-    route = kwargs.get("on_fragments") == "route"
-    rows = _fragmented_corpus() if route else _route_corpus()[0].to_pylist()
+@pytest.mark.parametrize("plan", ["default", "map"])
+def test_hybrid_reads_corpus_once(ray_session, plan):
+    """extract_hybrid calls its corpus factory once: the census and the plan
+    it picks (extract() at the default threshold on 4 CPUs, the map above
+    the largest doc) branch from that one Dataset."""
+    table, n_spans = _route_corpus()
+    rows = table.to_pylist()
+    kwargs = {} if plan == "default" else {"giant_span_threshold": max(n_spans) + 1}
     calls = []
 
     def make():
         calls.append(1)
         return ray.data.from_items(rows).repartition(3)
 
-    ds = extract_hybrid(make, n_buckets=8, giant_span_threshold=60, **kwargs)
+    ds = extract_hybrid(make, n_buckets=8, **kwargs)
     got = sorted(r["doc_id"] for r in ds.select_columns(["doc_id"]).take_all())
-    assert got == sorted({r["doc_id"] for r in rows})
+    assert got == sorted(r["doc_id"] for r in rows)
     assert len(calls) == 1
 
 
-def test_hybrid_raise_policy_still_raises(ray_session):
-    import pytest as _pytest
+def test_hybrid_logs_its_plan(ray_session, caplog):
+    """extract_hybrid emits one INFO record on the pdf_parser_ray logger
+    (which has no handler of its own) naming its plan and the census behind
+    it: the map above the largest doc, extract() when every row is a giant."""
+    import logging
 
-    from pdf_parser_ray.pipelines import extract_hybrid
-
-    rows = _fragmented_corpus()
-
-    def make():
-        return ray.data.from_items(rows).repartition(3)
-
-    with _pytest.raises(ValueError, match="fragmented corpus"):
-        extract_hybrid(make, giant_span_threshold=60, strict_fragment_check=True)
+    table, n_spans = _route_corpus()
+    cpus = ray.cluster_resources()["CPU"]
+    caplog.set_level(logging.INFO, logger="pdf_parser_ray")
+    for threshold, plan in ((max(n_spans) + 1, "fused"), (-1, "extract")):
+        caplog.clear()
+        extract_hybrid(
+            lambda: ray.data.from_arrow(table).repartition(4),
+            n_buckets=8,
+            giant_span_threshold=threshold,
+        )
+        (rec,) = [r for r in caplog.records if r.name == "pdf_parser_ray"]
+        assert rec.levelno == logging.INFO
+        assert f"plan={plan}" in rec.getMessage()
+        got_plan, heaviest, total, got_cpus, got_threshold = rec.args
+        assert (got_plan, total, got_cpus, got_threshold) == (
+            plan, sum(n_spans), cpus, threshold
+        )
+        assert (heaviest * cpus > total) == (plan == "extract")
+        assert heaviest == 0 if plan == "fused" else 0 < heaviest <= total
+    assert logging.getLogger("pdf_parser_ray").handlers == []
 
 
 def test_page_zero_not_confused_with_marker(ray_session):
@@ -519,15 +505,13 @@ def test_duplicate_page_numbers_deterministic(ray_session):
 
 
 def test_extract_hybrid_rejects_fragmented_corpus(ray_session):
-    """A doc split across corpus rows must raise cleanly in the hybrid/fused
-    path (never silent duplicate rows); extract() handles it correctly."""
+    """A doc split across corpus rows must raise cleanly: the exact check
+    before extract_hybrid, and extract_hybrid's map itself (never silent
+    duplicate rows); extract() handles it correctly."""
     import pytest as _pytest
     import ray.data
 
-    from pdf_parser_ray.pipelines.extract import (
-        assert_whole_doc_rows,
-        extract_hybrid,
-    )
+    from pdf_parser_ray.pipelines.extract import assert_whole_doc_rows
     from pdf_parser_ray.synthgen import doc_text_to_spans
 
     whole = doc_text_to_spans("frag", "x" * 2400 * 3)  # 3 pages
@@ -542,12 +526,12 @@ def test_extract_hybrid_rejects_fragmented_corpus(ray_session):
     ]
     frag_ds = ray.data.from_items(rows)
 
-    # strict pre-check raises on the driver before execution
+    # the exact corpus-wide check raises on the driver before extraction
     with _pytest.raises(ValueError, match="fragmented corpus"):
-        extract_hybrid(lambda: frag_ds, n_buckets=4, strict_fragment_check=True)
+        assert_whole_doc_rows(frag_ds)
 
-    # block-level check raises during execution (fragments land in one batch)
-    with _pytest.raises(Exception, match="whole-document rows"):
+    # batch-level check raises during execution (fragments land in one batch)
+    with _pytest.raises(Exception, match=r"whole-document rows.*use extract\(\)"):
         extract_hybrid(lambda: frag_ds, n_buckets=4).to_pandas()
 
     # clean corpus passes the strict check

@@ -2,9 +2,10 @@
 
 import json
 
+import pyarrow as pa
 import ray.data
 
-from pdf_parser_ray.pipelines import extract_fused
+from pdf_parser_ray.pipelines import extract_hybrid
 from pdf_parser_ray.pipelines.validation import (
     validation_summary,
     write_validation_report,
@@ -17,9 +18,15 @@ from pdf_parser_ray.sources.jsonl_compat import (
 from pdf_parser_ray.synthgen import generate_corpus
 
 
+def _mapped(table):
+    """extract_hybrid over ``table`` with a giant_span_threshold above its
+    largest doc, so the plan is the map whatever the session's CPUs."""
+    top = pa.compute.max(pa.compute.list_value_length(table["spans"])).as_py()
+    return extract_hybrid(ray.data.from_arrow(table), giant_span_threshold=top + 1)
+
+
 def test_validation_summary(ray_session):
-    corpus = ray.data.from_arrow(generate_corpus(20))
-    results = extract_fused(corpus)
+    results = _mapped(generate_corpus(20))
     summary = validation_summary(results)
     assert summary["n_docs"] == 20
     assert summary["total_pages"] > 0
@@ -30,8 +37,8 @@ def test_validation_summary(ray_session):
 
 
 def test_validation_summary_matches_single_process_oracle(ray_session):
-    """Route equality: the distributed summary (corpus lift -> fused
-    extraction -> one-pass aggregate) must equal the single-process
+    """Route equality: the distributed summary (corpus lift ->
+    extract_hybrid -> one-pass aggregate) must equal the single-process
     oracle (scripts/make_validation_fixture.py) that produces the
     committed gate fixture — run here at sf0.001 so the fixture
     mechanism itself stays honest in CI."""
@@ -62,8 +69,7 @@ def test_validation_summary_matches_single_process_oracle(ray_session):
 
 
 def test_write_validation_report(ray_session, tmp_path):
-    corpus = ray.data.from_arrow(generate_corpus(5))
-    summary = validation_summary(extract_fused(corpus))
+    summary = validation_summary(_mapped(generate_corpus(5)))
     out = write_validation_report(summary, str(tmp_path / "report.xlsx"))
     assert out is not None
     # openpyxl absent -> json fallback; either way the file exists
@@ -74,8 +80,7 @@ def test_write_validation_report(ray_session, tmp_path):
 
 
 def test_reference_jsonl_outputs(ray_session, tmp_path):
-    corpus = ray.data.from_arrow(generate_corpus(8))
-    results = extract_fused(corpus).materialize()
+    results = _mapped(generate_corpus(8)).materialize()
     paths = write_reference_outputs(results, str(tmp_path))
     toc_ds = read_jsonl_tolerant(paths["toc"])
     assert toc_ds.count() == int(results.to_pandas()["n_toc_entries"].sum())
