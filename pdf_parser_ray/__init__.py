@@ -9,7 +9,8 @@ processed as a streaming ``ray.data.Dataset`` pipeline —
     read (lance|parquet)
       -> map_batches(_tag_buckets)                   # append bucket = hash(doc_id) % B
       -> groupby(bucket).map_groups(assemble_bucket) # THE shuffle: corpus rows; per
-                                                     # SLICE_SPANS slices: decode, render, assemble
+                                                     # SLICE_SPANS slices: read span columns,
+                                                     # render, assemble
       -> write partitioned parquet (per-bucket checkpoints + lineage/metrics)
 
 That is ``state.run_extraction``; ``extract`` is the same plan without the
@@ -21,14 +22,19 @@ docs' spans, and otherwise the same loop with no shuffle:
     read -> map_batches(fused)                       # per batch of whole docs
 
 Every plan, and ``page_range``, runs one span-capped loop,
-``stages.render_stage.render_slices`` (decode -> ``stages.render_doc``);
-the plans assemble its docs with ``stages.assemble_doc_rows``.
+``stages.render_stage.render_slices`` (read the span columns -> page rows,
+with no per-span dict or nested page record); the plans assemble its docs
+with ``stages.assemble_doc_rows``. The reference-shaped page records
+(``doclogic.render.spans_to_pages``) exist only in the single-process
+oracle, ``doclogic.run_document``, which tests compare the kernel against.
 
-Per-document semantics (page render, metadata regexes, 3-pass TOC parse,
-heading strategies, section assembly) live in :mod:`pdf_parser_ray.doclogic`
-as pure functions shared by the Ray stages and the single-process oracle used
-in tests, so distributed output is span-sequence-equal to the reference
-semantics by construction and verified by pytest golden fixtures.
+Per-document semantics after the page render (metadata regexes, 3-pass
+TOC parse, heading strategies, section assembly) live in
+:mod:`pdf_parser_ray.doclogic` as pure functions shared by the Ray stages and
+the single-process oracle used in tests. The page render itself has two
+implementations, the oracle's and the kernel's column path, held equal row
+by row by a property test; distributed output is verified span-sequence-equal
+to the reference semantics by pytest golden fixtures.
 """
 
 __version__ = "0.1.0"

@@ -324,17 +324,23 @@ def pairs_from_band_rows(bands: ray.data.Dataset) -> ray.data.Dataset:
         )
         return batch.append_column("_b", b)
 
-    def pairs(group: pd.DataFrame) -> pd.DataFrame:
+    pair_schema = pa.schema([("doc_a", pa.string()), ("doc_b", pa.string())])
+
+    def pairs(group: pd.DataFrame) -> pa.Table:
+        # an Arrow table, never a zero-row pandas frame: Ray fails to size
+        # that frame's empty object columns and logs an error per block
         g = group[["band_id", "band_hash", "doc_id"]]
         # drop singleton band keys before the self-merge
         counts = g.groupby(["band_id", "band_hash"])["doc_id"].transform("size")
         g = g[counts > 1]
         if g.empty:
-            return pd.DataFrame({"doc_a": pd.Series([], dtype=str), "doc_b": pd.Series([], dtype=str)})
+            return pair_schema.empty_table()
         m = g.merge(g, on=["band_id", "band_hash"])
-        m = m[m.doc_id_x < m.doc_id_y]
-        out = m.rename(columns={"doc_id_x": "doc_a", "doc_id_y": "doc_b"})[["doc_a", "doc_b"]]
-        return out.drop_duplicates()
+        m = m[m.doc_id_x < m.doc_id_y][["doc_id_x", "doc_id_y"]].drop_duplicates()
+        return pa.table(
+            [pa.array(m[c]).cast(pa.string()) for c in ("doc_id_x", "doc_id_y")],
+            schema=pair_schema,
+        )
 
     candidate = (
         bands.map_batches(add_bucket, batch_format="pyarrow")
@@ -342,9 +348,7 @@ def pairs_from_band_rows(bands: ray.data.Dataset) -> ray.data.Dataset:
         .map_groups(pairs, batch_format="pandas")
     )
 
-    return _global_pair_dedupe(
-        candidate, pa.schema([("doc_a", pa.string()), ("doc_b", pa.string())])
-    )
+    return _global_pair_dedupe(candidate, pair_schema)
 
 
 def _word_ngrams(t: str, n: int) -> set[str]:

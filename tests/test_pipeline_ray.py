@@ -869,23 +869,22 @@ def test_fused_slices_equal_extract(ray_session, monkeypatch):
 
 def test_kernel_decodes_once_per_slice(monkeypatch):
     """Spans cross into Python once per slice: a bucket of small docs in
-    one decode_spans call, and render_pages over a batch above the cap in
-    calls of at most the cap or of a single doc."""
+    one read_span_columns call, and render_pages over a batch above the cap
+    in calls of at most the cap or of a single doc."""
     from pdf_parser_ray.pipelines.extract import _tag_buckets
     from pdf_parser_ray.schemas import CORPUS_SCHEMA
     from pdf_parser_ray.stages import render_stage
     from pdf_parser_ray.stages.assemble_stage import assemble_bucket
 
-    calls = []  # (rows, spans) per call, not counting the per-chunk recursion
-    decode = render_stage.decode_spans
+    calls = []  # (rows, spans) per call
+    read = render_stage.read_span_columns
 
     def spy(spans):
-        out = decode(spans)
-        if isinstance(spans, pa.ChunkedArray):
-            calls.append((len(out), sum(len(s or []) for s in out)))
+        out = read(spans)
+        calls.append((len(out.rows), len(out.kind)))
         return out
 
-    monkeypatch.setattr(render_stage, "decode_spans", spy)
+    monkeypatch.setattr(render_stage, "read_span_columns", spy)
     fragments = pa.Table.from_pylist(_fragmented_corpus()[-2:], schema=CORPUS_SCHEMA)
     table = pa.concat_tables([_route_corpus()[0], fragments])
     tagged = _tag_buckets(table, 8, frozenset())
@@ -904,6 +903,30 @@ def test_kernel_decodes_once_per_slice(monkeypatch):
     assert sum(rows for rows, _ in calls) == whole.num_rows
     assert all(spans <= 60 or rows == 1 for rows, spans in calls), calls
     assert any(rows > 1 for rows, _ in calls)  # small docs share a call
+
+
+def test_kernel_profile_script(tmp_path):
+    """scripts/kernel_profile.py runs the kernel's steps on a small corpus,
+    checks them against assemble_docs and reports every step and GC
+    generation in its JSON last line."""
+    import json
+    import subprocess
+    import sys
+
+    import pyarrow.parquet as pq
+
+    pq.write_table(generate_corpus(4, seed=5), str(tmp_path / "part-0.parquet"))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "kernel_profile.py"), str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert record["docs"] == 4 and record["pages"] >= 4
+    assert set(record["ms_per_doc"]) == {"read", "render", "assemble", "build", "total"}
+    assert all(ms >= 0 for ms in record["ms_per_doc"].values())
+    assert len(record["gc_collections"]) == len(record["gc_s"]) == 3
 
 
 def _write_corpus_files(directory, n_files):

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for invariants the distributed
 pipeline depends on."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdf_parser_ray.doclogic import run_document, toc
@@ -298,3 +298,134 @@ def test_codec_stages_never_crash_on_fuzz():
             schema=MEDIA_SCHEMA,
         )
         assert vid(batch).num_rows == 1
+
+
+# ---- the extraction kernel's column path against the oracle -----------------
+
+_KERNEL_KINDS = ["text", "heading", "toc_line", "table", "image", "layout_text",
+                 "annotation", "page_break", "unknown_kind", None]
+# page texts: decimal, non-decimal ("²" passes isdigit, not isdecimal),
+# negative, at and above int32, non-ASCII decimal, and past int()'s digit limit
+_PAGE_TEXTS = ["1", "2", "0", "07", "²", "-3", "2147483647", "2147483648",
+               "99999999999", "١٢", "1" * 5000, "", "x"]
+_kernel_text = st.one_of(
+    st.none(),
+    st.sampled_from(_PAGE_TEXTS),
+    st.text(alphabet=st.sampled_from("ab1 |\n\t \x1c"), max_size=12),
+)
+
+
+@st.composite
+def _span_rows(draw):
+    """One corpus row's spans: a null or empty list, or spans with tied and
+    descending offsets, null kinds, texts and media_refs, and at times null
+    structs or null offsets."""
+    shape = draw(st.sampled_from(["null", "empty", "spans", "spans", "spans"]))
+    if shape == "null":
+        return None
+    if shape == "empty":
+        return []
+    null_structs, null_offsets = draw(st.booleans()), draw(st.booleans())
+    offset = st.integers(-2, 6) | st.none() if null_offsets else st.integers(-2, 6)
+    span = st.fixed_dictionaries({
+        "kind": st.sampled_from(_KERNEL_KINDS),
+        "text": _kernel_text,
+        "media_ref": st.none() | st.text(alphabet="ab/", max_size=3),
+        "offset": offset,
+    })
+    return draw(st.lists(st.none() | span if null_structs else span, min_size=1, max_size=8))
+
+
+def _kernel_json(rows):
+    """Page rows as text: int and float values print apart (0 != 0.0)."""
+    import json
+
+    return json.dumps(rows, sort_keys=True)
+
+
+def _sp(kind, text="", media_ref="", offset=0):
+    return {"kind": kind, "text": text, "media_ref": media_ref, "offset": offset}
+
+
+# every edge the column path handles per row, each in a row of its own
+_EDGE_ROWS = [
+    None,
+    [],
+    [None],
+    [_sp("text", "a", offset=0), None],
+    [_sp("text", "a", offset=None)],
+    [_sp("text", "a", offset=None), _sp("text", "b", offset=1)],
+    [_sp("text", "a", offset=2), _sp("page_break", "3", offset=1), _sp("text", "b", offset=1)],
+    [_sp("page_break", t, offset=i) for i, t in enumerate(_PAGE_TEXTS)],
+    [_sp("page_break", "1" * 5000), _sp("text", "a", offset=1)],
+    [_sp("unknown_kind", "x"), _sp(None, "y", offset=1), _sp("page_break", "4", offset=2)],
+    [_sp("text", None), _sp("image", None, None, 1), _sp("annotation", " ", offset=2),
+     _sp("layout_text", "a \n\n b", offset=3), _sp("table", "", offset=4)],
+]
+
+
+@given(st.lists(_span_rows(), min_size=1, max_size=6), st.integers(0, 6))
+@example(_EDGE_ROWS, 4)
+@settings(max_examples=300, deadline=None)
+def test_span_columns_render_like_render_doc(rows, cut):
+    """Row by row, the column path's PAGE_ROW dicts equal render_doc's on
+    the row's span dicts, over a two-chunk column."""
+    import pyarrow as pa
+
+    from pdf_parser_ray.schemas import CORPUS_SCHEMA
+    from pdf_parser_ray.stages.render_stage import read_span_columns, render_doc, render_span_row
+
+    table = pa.Table.from_pylist(
+        [{"doc_id": str(i), "spans": s} for i, s in enumerate(rows)], schema=CORPUS_SCHEMA
+    )
+    cut = min(cut, len(rows))
+    spans = table["spans"].combine_chunks()
+    cols = read_span_columns(pa.chunked_array([spans.slice(0, cut), spans.slice(cut)]))
+    assert len(cols.rows) == len(rows)
+    for i, row in enumerate(spans.to_pylist()):
+        got = render_span_row(cols, i, str(i), 5)
+        want = render_doc(str(i), row, 5)
+        assert got == want
+        assert _kernel_json(got) == _kernel_json(want)
+
+
+@given(
+    st.lists(st.lists(_span_rows(), min_size=1, max_size=3), min_size=1, max_size=5),
+    st.integers(1, 8),
+    st.sampled_from(["corpus", "reordered", "other"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_render_slices_like_render_doc(docs, cap, shape):
+    """render_slices with a small SLICE_SPANS, over docs of one to three
+    fragment rows (so a per-row cut would split a doc's fragments), gives
+    each doc the render_doc rows of its fragments sorted by (page,
+    page_order): for the corpus span struct, for the same four fields
+    reordered with large_string texts and int64 offsets (the column path),
+    and for a struct of another shape (decode_spans and render_doc)."""
+    from unittest import mock
+
+    import pyarrow as pa
+
+    from pdf_parser_ray.schemas import CORPUS_SCHEMA
+    from pdf_parser_ray.stages import render_stage
+
+    items = [{"doc_id": f"d{k}", "spans": s} for k, frags in enumerate(docs) for s in frags]
+    schema = CORPUS_SCHEMA
+    if shape != "corpus":
+        fields = [("offset", pa.int64()), ("text", pa.large_string()),
+                  ("kind", pa.string()), ("media_ref", pa.string())]
+        if shape == "other":
+            fields[0] = ("offset", pa.float64())
+        schema = pa.schema([("doc_id", pa.string()), ("spans", pa.list_(pa.struct(fields)))])
+    table = pa.Table.from_pylist(items, schema=schema)
+    with mock.patch.object(render_stage, "SLICE_SPANS", cap):
+        got = [doc for docs_ in render_stage.render_slices(table, 8) for doc in docs_]
+    want = []
+    for k, frags in enumerate(docs):
+        doc_id = f"d{k}"
+        bucket = render_stage.bucket_of(doc_id, 8)
+        rows = [r for s in frags for r in render_stage.render_doc(doc_id, s, bucket)]
+        rows.sort(key=lambda r: (r["page"], r["page_order"]))
+        want.append((doc_id, rows))
+    assert got == want
+    assert _kernel_json(got) == _kernel_json(want)
