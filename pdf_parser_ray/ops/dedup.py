@@ -797,18 +797,18 @@ def simhash_pairs(
             ),
         )
 
-    def pairs(group: pd.DataFrame) -> pd.DataFrame:
+    pair_schema = pa.schema(
+        [("doc_a", pa.string()), ("doc_b", pa.string()), ("hamming", pa.int64())]
+    )
+
+    def pairs(group: pd.DataFrame) -> pa.Table:
+        # an Arrow table, never a zero-row pandas frame (as in
+        # pairs_from_band_rows)
         g = group[["band_id", "band_val", "doc_id", "simhash"]]
         counts = g.groupby(["band_id", "band_val"])["doc_id"].transform("size")
         g = g[counts > 1]
         if g.empty:
-            return pd.DataFrame(
-                {
-                    "doc_a": pd.Series([], dtype=str),
-                    "doc_b": pd.Series([], dtype=str),
-                    "hamming": pd.Series([], dtype="int64"),
-                }
-            )
+            return pair_schema.empty_table()
         m = g.merge(g, on=["band_id", "band_val"])
         m = m[m.doc_id_x < m.doc_id_y]
         ham = np.bitwise_xor(
@@ -821,9 +821,12 @@ def simhash_pairs(
             np.ascontiguousarray(ham).view(np.uint8).reshape(len(ham), 8), axis=1
         ).sum(axis=1) if len(m) else np.array([], dtype=np.int64)
         m = m.assign(hamming=bits.astype(np.int64))
-        m = m[m.hamming <= max_hamming]
-        out = m.rename(columns={"doc_id_x": "doc_a", "doc_id_y": "doc_b"})
-        return out[["doc_a", "doc_b", "hamming"]].drop_duplicates(["doc_a", "doc_b"])
+        m = m[m.hamming <= max_hamming].drop_duplicates(["doc_id_x", "doc_id_y"])
+        return pa.table(
+            [pa.array(m[c]).cast(t) for c, t in
+             zip(("doc_id_x", "doc_id_y", "hamming"), pair_schema.types)],
+            schema=pair_schema,
+        )
 
     candidate = (
         table.map_batches(band_rows, batch_format="pyarrow")
@@ -831,12 +834,7 @@ def simhash_pairs(
         .map_groups(pairs, batch_format="pandas")
     )
 
-    return _global_pair_dedupe(
-        candidate,
-        pa.schema(
-            [("doc_a", pa.string()), ("doc_b", pa.string()), ("hamming", pa.int64())]
-        ),
-    )
+    return _global_pair_dedupe(candidate, pair_schema)
 
 
 # ---- embedding near-dup ---------------------------------------------------

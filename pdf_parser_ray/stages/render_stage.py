@@ -44,7 +44,7 @@ from pdf_parser_ray.schemas import PAGE_ROW_SCHEMA
 # the CLI default to; it fixes a checkpoint's layout, and a resume must use
 # the count its run was started with
 DEFAULT_N_BUCKETS = 64
-# spans one render_slices slice decodes and renders at a time: bounds a
+# spans one render_slices slice reads and renders at a time: bounds a
 # map or bucket task's heap; a doc above it is a slice of its own
 SLICE_SPANS = 65_536
 
