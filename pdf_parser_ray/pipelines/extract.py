@@ -22,8 +22,11 @@ work and move a row per page.
 
 Projections (:func:`toc_table` etc.) turn the combined result into the
 reference's four logical output tables (SURVEY.md §1.2) as streaming
-transforms; consuming several of them re-executes the upstream unless the
-caller materializes or (preferred) reads back a written extraction.
+transforms in Arrow (:func:`flat_spans`, :func:`toc_table` and
+:func:`sections_table` explode a list column through one ``_explode``,
+:func:`metadata_table` flattens the metadata struct); consuming several
+of them re-executes the upstream unless the caller materializes or
+(preferred) reads back a written extraction.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import logging
 from typing import Any, Callable, Collection, Optional
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from pdf_parser_ray.schemas import (
@@ -275,36 +279,36 @@ def spans_table(doc_results: ray.data.Dataset) -> ray.data.Dataset:
     return doc_results.select_columns(["doc_id", "spans"])
 
 
-def flat_spans(doc_results: ray.data.Dataset) -> ray.data.Dataset:
-    """Exploded span rows (doc_id, offset, kind, text, media_ref) — fully
-    vectorized: Arrow list-flatten kernels, no Python per-row loop."""
+def _struct_rows(doc_ids: Any, structs: Any, schema: pa.Schema) -> pa.Table:
+    """``schema``'s rows: each doc_id, then the fields of its struct that
+    ``schema`` names after doc_id, cast to ``schema``; a null struct gives
+    nulls."""
+    names = schema.names[1:]
+    fields = [pc.struct_field(structs, name) for name in names]
+    return pa.table([doc_ids, *fields], names=["doc_id", *names]).cast(schema)
+
+
+def _explode(
+    doc_results: ray.data.Dataset, column: str, schema: pa.Schema
+) -> ray.data.Dataset:
+    """One ``schema`` row per entry of the list column ``column``, through
+    Arrow list kernels (no Python per-entry loop); a null list gives no
+    rows."""
 
     def explode(batch: pa.Table) -> pa.Table:
-        spans = batch["spans"]
-        if isinstance(spans, pa.ChunkedArray):
-            spans = spans.combine_chunks()
-        lengths = pa.compute.list_value_length(spans).fill_null(0)
-        doc_ids = batch["doc_id"]
-        if isinstance(doc_ids, pa.ChunkedArray):
-            doc_ids = doc_ids.combine_chunks()
-        import numpy as np
-
-        counts = lengths.to_numpy(zero_copy_only=False)
-        repeated_ids = doc_ids.take(
-            pa.array(np.repeat(np.arange(len(counts)), counts), pa.int64())
-        )
-        flat = pa.compute.list_flatten(spans)
-        return pa.table(
-            {
-                "doc_id": repeated_ids,
-                "offset": flat.field("offset"),
-                "kind": flat.field("kind"),
-                "text": flat.field("text"),
-                "media_ref": flat.field("media_ref"),
-            }
-        ).cast(SPAN_FLAT_SCHEMA)
+        # list_flatten skips a null list's child values, list_parent_indices
+        # counts them: drop null lists first
+        batch = batch.filter(pc.is_valid(batch[column]))
+        lists = batch[column]
+        doc_ids = batch["doc_id"].take(pc.list_parent_indices(lists))
+        return _struct_rows(doc_ids, pc.list_flatten(lists), schema)
 
     return doc_results.map_batches(explode, batch_format="pyarrow")
+
+
+def flat_spans(doc_results: ray.data.Dataset) -> ray.data.Dataset:
+    """Exploded span rows (doc_id, offset, kind, text, media_ref)."""
+    return _explode(doc_results, "spans", SPAN_FLAT_SCHEMA)
 
 
 def page_range(
@@ -331,45 +335,21 @@ def page_range(
     return rows.map_batches(cut, batch_format="pyarrow")
 
 
-def _explode_list_column(
-    doc_results: ray.data.Dataset, column: str, schema: pa.Schema
-) -> ray.data.Dataset:
-    def explode(batch: pa.Table) -> pa.Table:
-        rows = []
-        for doc_id, entries in zip(
-            batch["doc_id"].to_pylist(), batch[column].to_pylist()
-        ):
-            for entry in entries or []:
-                row = dict(entry)
-                row["doc_id"] = doc_id
-                rows.append(row)
-        return pa.Table.from_pylist(rows, schema=schema)
-
-    return doc_results.map_batches(explode, batch_format="pyarrow")
-
-
 def toc_table(doc_results: ray.data.Dataset) -> ray.data.Dataset:
     """Per-entry TOC rows (reference usb_pd_toc.jsonl shape + doc_id)."""
-    return _explode_list_column(doc_results, "toc", TOC_SCHEMA)
+    return _explode(doc_results, "toc", TOC_SCHEMA)
 
 
 def sections_table(doc_results: ray.data.Dataset) -> ray.data.Dataset:
     """Per-section rows (reference usb_pd_spec.jsonl shape + doc_id)."""
-    return _explode_list_column(doc_results, "sections", SECTIONS_SCHEMA)
+    return _explode(doc_results, "sections", SECTIONS_SCHEMA)
 
 
 def metadata_table(doc_results: ray.data.Dataset) -> ray.data.Dataset:
     """One metadata row per document (reference usb_pd_metadata.jsonl)."""
 
     def project(batch: pa.Table) -> pa.Table:
-        rows = []
-        for doc_id, meta in zip(
-            batch["doc_id"].to_pylist(), batch["metadata"].to_pylist()
-        ):
-            row = dict(meta or {})
-            row["doc_id"] = doc_id
-            rows.append(row)
-        return pa.Table.from_pylist(rows, schema=METADATA_SCHEMA)
+        return _struct_rows(batch["doc_id"], batch["metadata"], METADATA_SCHEMA)
 
     return doc_results.map_batches(project, batch_format="pyarrow")
 

@@ -46,10 +46,6 @@ PAGE_ROW_SCHEMA = pa.schema(
 )
 
 # ---- outputs --------------------------------------------------------------
-SPANS_OUT_SCHEMA = pa.schema(
-    [("doc_id", pa.string()), ("spans", pa.list_(SPAN_STRUCT))]
-)
-
 # flat (exploded) span rows — useful for SQL-oracle comparisons
 SPAN_FLAT_SCHEMA = pa.schema(
     [
@@ -97,20 +93,6 @@ METADATA_SCHEMA = pa.schema(
         ("revision", pa.string()),
         ("version", pa.string()),
         ("release_date", pa.string()),
-    ]
-)
-
-DOC_STATS_SCHEMA = pa.schema(
-    [
-        ("doc_id", pa.string()),
-        ("total_pages", pa.int32()),
-        ("pages_with_text", pa.int32()),
-        ("toc_entries", pa.int32()),
-        ("sections", pa.int32()),
-        ("spans_out", pa.int32()),
-        ("toc_covered_pages", pa.int32()),
-        ("page_coverage_pct", pa.float64()),
-        ("toc_coverage_pct", pa.float64()),
     ]
 )
 

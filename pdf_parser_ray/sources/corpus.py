@@ -9,7 +9,6 @@ schema. Replaces the reference's JSONL stage files (utils/helpers.py:46-101).
 from __future__ import annotations
 
 import warnings
-from typing import Optional
 
 import pyarrow as pa
 import ray.data
@@ -73,7 +72,6 @@ def write_corpus(ds: ray.data.Dataset, path: str, **kwargs) -> None:
 
 def corpus_from_documents(
     sf_dir: str,
-    limit: Optional[int] = None,
     heavy_tail: bool = False,
     mult: int = 1,
 ) -> ray.data.Dataset:
@@ -124,9 +122,6 @@ def corpus_from_documents(
         columns=["doc_id", "text"],
         override_num_blocks=max(32, ncpu * 2),
     )
-    if limit is not None:
-        ds = ds.limit(limit)
-        n_rows = min(n_rows, limit) if n_rows else limit
     # ~32-task granularity: full parallelism up to 32 CPUs while the
     # AllToAll's per-block coordination cost stays constant across session
     # sizes (tasks queue at lower CPU counts). Capped so per-task heap

@@ -29,21 +29,16 @@ from pdf_parser_ray.stages.render_stage import render_slices
 def doc_result_to_row(result: dict[str, Any], bucket: int, parse_failure: bool) -> dict[str, Any]:
     """Flatten a doclogic document result into a DOC_RESULT_SCHEMA row.
 
-    Per-entry doc_id fields are dropped from nested lists (they live on the
-    row); section/toc field order follows the schema structs.
+    The TOC entries and sections pass through as they are: each holds
+    exactly its schema struct's fields (the doc_id lives on the row).
     """
     stats = result["stats"]
     return {
         "doc_id": result["doc_id"],
         "bucket": bucket,
         "metadata": result["metadata"],
-        "toc": [
-            {k: v for k, v in entry.items() if k != "doc_id"}
-            for entry in result["toc"]
-        ],
-        "sections": [
-            {k: v for k, v in s.items() if k != "doc_id"} for s in result["sections"]
-        ],
+        "toc": result["toc"],
+        "sections": result["sections"],
         "spans": result["spans"],
         "total_pages": stats["total_pages"],
         "pages_with_text": stats["pages_with_text"],

@@ -9,18 +9,19 @@ per worker process (SURVEY.md §2.3 ST1).
 
 The kernel renders from the span columns: :func:`read_span_columns` reads
 a slice's ``kind``, ``text``, ``media_ref`` and ``offset`` child columns
-once as Python lists, and :func:`render_span_row` builds each row's page
-rows straight from them, with no dict per span and no nested page record.
+by name once as Python lists, and :func:`render_span_row` builds each
+row's page rows straight from them, with no dict per span and no nested
+page record. It is the kernel's only span reader. A batch's ``spans``
+column must be a list or large_list of a struct holding those four fields
+(any order, other fields ignored): ``kind``, ``text`` and ``media_ref``
+string, large_string or null-typed (read as all null), ``offset`` any
+integer or floating type or null-typed. Any other type raises one
+``ValueError`` before a row renders (:func:`_check_span_type`).
+
 The reference-shaped page records (``doclogic.render.spans_to_pages`` ->
 ``doclogic.pipeline.page_row_from_record``) exist only in the
 single-process oracle, ``doclogic.run_document``, and in
-:func:`render_doc`, which the kernel runs only for a ``spans`` column of
-another type (after :func:`decode_spans`) and which tests compare the
-column path against.
-
-:func:`decode_spans` reads a ``spans`` list column child column by child
-column into span dicts instead of calling ``to_pylist()``, which builds
-every span dict through a per-value scalar.
+:func:`render_doc`, the oracle the tests compare the kernel against.
 
 All rendered strings are finalized HERE, before the Arrow block boundary
 (see doclogic.render module docstring).
@@ -28,8 +29,7 @@ All rendered strings are finalized HERE, before the Arrow block boundary
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Iterator, NamedTuple
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -97,66 +97,6 @@ def render_doc(doc_id: str, spans: Any, bucket: int) -> list[dict[str, Any]]:
     return rows or [_empty_doc_row(doc_id, bucket, failure=False)]
 
 
-def _pylist(column: pa.Array) -> list[Any]:
-    """``column.to_pylist()``, through NumPy where that gives the same
-    Python values without a per-value Arrow scalar: strings (a null stays
-    None) and integers without nulls (NumPy would turn a null into NaN)."""
-    kind = column.type
-    if (
-        pa.types.is_string(kind)
-        or pa.types.is_large_string(kind)
-        or (pa.types.is_integer(kind) and not column.null_count)
-    ):
-        return column.to_numpy(zero_copy_only=False).tolist()
-    return column.to_pylist()
-
-
-def _decode_items(values: pa.Array) -> list[Any]:
-    """A list column's child array -> its Python values. A struct child is
-    read one field column at a time and zipped into dicts (a null struct
-    stays None); any other child type falls back to ``to_pylist()``."""
-    if not pa.types.is_struct(values.type) or values.type.num_fields == 0:
-        return values.to_pylist()
-    names = [field.name for field in values.type]
-    columns = [_pylist(values.field(i)) for i in range(len(names))]
-    items: list[Any]
-    if len(names) == 4:  # the span struct: a dict display builds ~2.5x faster
-        a, b, c, d = names
-        items = [{a: w, b: x, c: y, d: z} for w, x, y, z in zip(*columns)]
-    else:
-        items = [dict(zip(names, row)) for row in zip(*columns)]
-    if values.null_count:
-        for i, valid in enumerate(values.is_valid().to_pylist()):
-            if not valid:
-                items[i] = None
-    return items
-
-
-def decode_spans(spans: pa.Array | pa.ChunkedArray) -> list[Any]:
-    """A ``spans`` list column -> one Python list of span dicts per row,
-    equal to ``spans.to_pylist()`` (null lists, null structs and null
-    fields included) for sliced and chunked input alike.
-
-    The child values are read once per chunk from the list offsets (never
-    through per-span scalars); a non-list column falls back to
-    ``to_pylist()``."""
-    if isinstance(spans, pa.ChunkedArray):
-        out: list[Any] = []
-        for chunk in spans.chunks:
-            out.extend(decode_spans(chunk))
-        return out
-    if not (pa.types.is_list(spans.type) or pa.types.is_large_list(spans.type)):
-        return spans.to_pylist()
-    offsets = spans.offsets.to_pylist()  # already shifted by a slice's offset
-    lo = offsets[0]
-    items = _decode_items(spans.values.slice(lo, offsets[-1] - lo))
-    valid = spans.is_valid().to_pylist() if spans.null_count else None
-    return [
-        items[a - lo : b - lo] if valid is None or valid[i] else None
-        for i, (a, b) in enumerate(zip(offsets, offsets[1:]))
-    ]
-
-
 # the span kinds the column path dispatches on, coded by position; a text
 # kind codes at _TEXT or above, and any other kind (null too) reads as -1
 _KINDS = pa.array(["page_break", "table", "image", "layout_text", "annotation", *render.TEXT_KINDS])
@@ -166,22 +106,31 @@ _SPAN_STRINGS = ("kind", "text", "media_ref")
 _MAX_PAGE = 2**31 - 1
 
 
-def _is_span_list(kind: pa.DataType) -> bool:
-    """Whether a ``spans`` column is a list of the span struct the column
-    path reads: the fields ``kind``, ``text`` and ``media_ref`` (string or
-    large_string) and an integer ``offset``, in any order."""
-    if not (pa.types.is_list(kind) or pa.types.is_large_list(kind)):
-        return False
-    item = kind.value_type
-    if not pa.types.is_struct(item):
-        return False
-    fields = {field.name: field.type for field in item}
-    return (
-        sorted(fields) == sorted((*_SPAN_STRINGS, "offset"))
-        and all(pa.types.is_string(fields[n]) or pa.types.is_large_string(fields[n])
-                for n in _SPAN_STRINGS)
-        and pa.types.is_integer(fields["offset"])
-    )
+def _check_span_type(spans_type: pa.DataType) -> None:
+    """Raise ``ValueError`` unless a ``spans`` column of type ``spans_type``
+    is one the kernel reads: a list or large_list of a struct holding the
+    fields ``kind``, ``text``, ``media_ref`` (string, large_string or
+    null-typed) and ``offset`` (any integer or floating type, or
+    null-typed), in any order; other fields are ignored."""
+    fields: dict[str, pa.DataType] = {}
+    if pa.types.is_list(spans_type) or pa.types.is_large_list(spans_type):
+        item = spans_type.value_type
+        if pa.types.is_struct(item):
+            # get_field_index is -1 for a missing or a repeated name
+            index = {name: item.get_field_index(name) for name in (*_SPAN_STRINGS, "offset")}
+            fields = {name: item[i].type for name, i in index.items() if i >= 0}
+    strings = (pa.types.is_string, pa.types.is_large_string, pa.types.is_null)
+    numbers = (pa.types.is_integer, pa.types.is_floating, pa.types.is_null)
+    if not (
+        len(fields) == 4
+        and all(any(ok(fields[name]) for ok in strings) for name in _SPAN_STRINGS)
+        and any(ok(fields["offset"]) for ok in numbers)
+    ):
+        raise ValueError(
+            f"spans column of type {spans_type}; expected a list or large_list "
+            "of a struct with the fields kind, text and media_ref (string, "
+            "large_string or null) and offset (integer, floating or null)"
+        )
 
 
 class SpanColumns(NamedTuple):
@@ -194,17 +143,32 @@ class SpanColumns(NamedTuple):
     kind: list[int]  # position in _KINDS, -1 for any other kind
     text: list[str]  # a null text reads as ""
     media_ref: list[str]  # a null media_ref reads as ""
-    offset: list[int | None]
+    offset: list[int | float | None]
+
+
+def _string_field(values: pa.StructArray, name: str) -> pa.Array:
+    """A string field of the span struct; a null-typed one reads as all
+    null strings."""
+    column = values.field(name)
+    return column.cast(pa.string()) if pa.types.is_null(column.type) else column
 
 
 def _strings(column: pa.Array) -> list[str]:
     return pc.fill_null(column, "").to_numpy(zero_copy_only=False).tolist()
 
 
+def _offsets(column: pa.Array) -> list[int | float | None]:
+    """``column.to_pylist()``, through NumPy for integers without nulls
+    (NumPy would turn a null into NaN)."""
+    if pa.types.is_integer(column.type) and not column.null_count:
+        return column.to_numpy().tolist()
+    return column.to_pylist()
+
+
 def read_span_columns(spans: pa.ChunkedArray) -> SpanColumns:
-    """A slice of a ``spans`` column of :func:`_is_span_list` type -> its
-    :class:`SpanColumns`, each field read once per chunk from the list
-    offsets (no per-span dict or scalar)."""
+    """A slice of a ``spans`` column that :func:`_check_span_type` accepts
+    -> its :class:`SpanColumns`, each field read by name once per chunk
+    from the list offsets (no per-span dict or scalar)."""
     cols = SpanColumns([], [], [], [], [])
     for chunk in spans.chunks:
         bounds = chunk.offsets.to_pylist()  # already shifted by a slice's offset
@@ -212,11 +176,11 @@ def read_span_columns(spans: pa.ChunkedArray) -> SpanColumns:
         values = chunk.values.slice(lo, bounds[-1] - lo)
         offsets = values.field("offset")
         base = len(cols.kind)
-        codes = pc.index_in(values.field("kind"), value_set=_KINDS).fill_null(-1)
+        codes = pc.index_in(_string_field(values, "kind"), value_set=_KINDS).fill_null(-1)
         cols.kind.extend(codes.to_numpy().tolist())
-        cols.text.extend(_strings(values.field("text")))
-        cols.media_ref.extend(_strings(values.field("media_ref")))
-        cols.offset.extend(_pylist(offsets))
+        cols.text.extend(_strings(_string_field(values, "text")))
+        cols.media_ref.extend(_strings(_string_field(values, "media_ref")))
+        cols.offset.extend(_offsets(offsets))
         valid = chunk.is_valid().to_pylist() if chunk.null_count else None
         null_span = values.is_null().to_pylist() if values.null_count else None
         null_offset = offsets.is_null().to_pylist() if offsets.null_count else None
@@ -346,17 +310,6 @@ def render_span_row(cols: SpanColumns, i: int, doc_id: str, bucket: int) -> list
     return rows or [_empty_doc_row(doc_id, bucket, failure=False)]
 
 
-def _row_renderer(spans: pa.ChunkedArray) -> Callable[[int, str, int], list[dict[str, Any]]]:
-    """A slice's spans, read into Python once -> ``render(i, doc_id,
-    bucket)``, the page rows of the slice's row ``i``: from the span
-    columns, or for a spans column of any other type through
-    :func:`decode_spans` and :func:`render_doc`."""
-    if _is_span_list(spans.type):
-        return partial(render_span_row, read_span_columns(spans))
-    decoded = decode_spans(spans)
-    return lambda i, doc_id, bucket: render_doc(doc_id, decoded[i], bucket)
-
-
 def _span_counts(batch: pa.Table) -> pa.Array:
     """Spans per corpus row; a null ``spans`` cell counts 0."""
     return pc.list_value_length(batch["spans"]).fill_null(0)
@@ -383,17 +336,22 @@ def render_slices(
     whole docs (at most ``SLICE_SPANS`` spans, or one larger doc), each
     doc's (doc_id, page rows): every row renders on its own, then a doc's
     rows sort by (page, page_order), the oracle's stable-sort tie-break."""
+    _check_span_type(batch["spans"].type)
     ids = [str(d) for d in batch["doc_id"].to_pylist()]
     starts = [i for i, d in enumerate(ids) if not i or d != ids[i - 1]] + [len(ids)]
     counts = _span_counts(batch).to_pylist()
     doc_counts = [sum(counts[a:b]) for a, b in zip(starts, starts[1:])]
     for first, last in _span_slices(doc_counts, SLICE_SPANS):
         lo = starts[first]
-        render_row = _row_renderer(batch["spans"].slice(lo, starts[last] - lo))
+        cols = read_span_columns(batch["spans"].slice(lo, starts[last] - lo))
         docs = []
         for a, b in zip(starts[first:last], starts[first + 1 : last + 1]):
             doc_id, bucket = ids[a], bucket_of(ids[a], n_buckets)
-            rows = [row for i in range(a - lo, b - lo) for row in render_row(i, doc_id, bucket)]
+            rows = [
+                row
+                for i in range(a - lo, b - lo)
+                for row in render_span_row(cols, i, doc_id, bucket)
+            ]
             rows.sort(key=lambda r: (r["page"], r["page_order"]))
             docs.append((doc_id, rows))
         yield docs

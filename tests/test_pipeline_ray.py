@@ -539,97 +539,96 @@ def test_extract_hybrid_rejects_fragmented_corpus(ray_session):
     assert_whole_doc_rows(ok)
 
 
-# ---- the span decoder and the corpus-row shuffle ----------------------------
+# ---- the span reader and the corpus-row shuffle -----------------------------
 
 
-def _assert_decodes_like_pylist(spans):
-    from pdf_parser_ray.stages.render_stage import decode_spans
+def test_kernel_rejects_off_contract_spans():
+    """A spans column the kernel cannot read by field name raises one
+    ValueError naming its type before any row renders: a list of
+    non-structs, a struct without offset, an int64 text and a null-typed
+    column."""
+    from unittest import mock
 
-    got, want = decode_spans(spans), spans.to_pylist()
-    assert got == want
-    assert repr(got) == repr(want)  # key order and int/None types too
+    from pdf_parser_ray.stages import render_stage
+
+    span = {"kind": "text", "text": "1", "media_ref": "", "offset": 0}
+    bad = {
+        "list<string>": pa.array([["a", "b"]], pa.list_(pa.string())),
+        "no offset": pa.array(
+            [[{k: span[k] for k in ("kind", "text", "media_ref")}]],
+            pa.list_(pa.struct([("kind", pa.string()), ("text", pa.string()),
+                                ("media_ref", pa.string())])),
+        ),
+        "int64 text": pa.array(
+            [[{**span, "text": 1}]],
+            pa.list_(pa.struct([("kind", pa.string()), ("text", pa.int64()),
+                                ("media_ref", pa.string()), ("offset", pa.int32())])),
+        ),
+        "null-typed": pa.nulls(1),
+    }
+    for name, spans in bad.items():
+        batch = pa.table({"doc_id": ["d"], "spans": spans})
+        with mock.patch.object(render_stage, "read_span_columns") as read, \
+                mock.patch.object(render_stage, "render_span_row") as render_row:
+            with pytest.raises(ValueError, match="spans column of type") as err:
+                list(render_stage.render_slices(batch, 4))
+        assert str(spans.type) in str(err.value), name
+        assert "kind, text and media_ref" in str(err.value), name
+        assert not read.called and not render_row.called, name
 
 
-def test_decode_spans_edge_cases():
-    """decode_spans equals to_pylist() on null and empty lists, null
-    structs, null fields, non-ASCII text, a slice with a non-zero offset
-    and a multi-chunk column."""
-    from pdf_parser_ray.schemas import CORPUS_SCHEMA
+def test_kernel_skips_values_under_null_lists():
+    """A null list whose offsets still cover child values renders as the
+    oracle renders None, whole and in a slice with a non-zero offset."""
+    from pdf_parser_ray.schemas import SPAN_STRUCT
+    from pdf_parser_ray.stages import render_stage
 
-    def span(kind="text", text="t", media_ref="", offset=0):
-        return {"kind": kind, "text": text, "media_ref": media_ref, "offset": offset}
+    values = pa.array(
+        [{"kind": "text", "text": t, "media_ref": "", "offset": i} for i, t in enumerate("abc")],
+        SPAN_STRUCT,
+    )
+    spans = pa.ListArray.from_arrays(
+        pa.array([0, 1, 2, 3], pa.int32()), values, mask=pa.array([False, True, False])
+    )
+    for piece in (spans, spans.slice(1)):
+        ids = [f"d{i}" for i in range(len(piece))]
+        batch = pa.table({"doc_id": ids, "spans": piece})
+        got = [doc for docs in render_stage.render_slices(batch, 4) for doc in docs]
+        want = [
+            (d, render_stage.render_doc(d, row, render_stage.bucket_of(d, 4)))
+            for d, row in zip(ids, piece.to_pylist())
+        ]
+        assert got == want
 
-    rows = [
-        [span(offset=0), span("page_break", "2", offset=1)],
-        None,
-        [],
-        [None],
-        [span(kind=None), span(text=None), span(media_ref=None), span(offset=None)],
-        [span(text="é文 — ßⅤ", offset=3), None, span("image", None, "img/ä.png", 4)],
-        [],
-        None,
-        [span(offset=7)],
+
+def test_one_span_reader_and_explode():
+    """The kernel has one span reader and the projections one list explode:
+    no module of the package defines decode_spans, and no extraction stage
+    or pipeline reads a spans, toc, sections or metadata column into Python
+    with to_pylist()."""
+    import pathlib
+    import re
+
+    import pdf_parser_ray
+
+    package = pathlib.Path(pdf_parser_ray.__file__).parent
+    defined = [
+        str(p.relative_to(package))
+        for p in sorted(package.rglob("*.py"))
+        if re.search(r"def\s+decode_spans\b", p.read_text(encoding="utf-8"))
     ]
-    table = pa.Table.from_pylist(
-        [{"doc_id": str(i), "spans": s} for i, s in enumerate(rows)], schema=CORPUS_SCHEMA
+    assert defined == []
+    to_pylist = re.compile(
+        r"""\[\s*["'](spans|toc|sections|metadata)["']\s*\]\s*\.to_pylist\("""
     )
-    spans = table["spans"].combine_chunks()
-    _assert_decodes_like_pylist(spans)
-    for start in range(len(rows)):
-        for length in range(len(rows) - start + 1):
-            _assert_decodes_like_pylist(spans.slice(start, length))
-    _assert_decodes_like_pylist(
-        pa.chunked_array([spans.slice(0, 3), spans.slice(3, 0), spans.slice(3)])
-    )
-    _assert_decodes_like_pylist(pa.chunked_array([], spans.type))
-    # a null list whose offsets still cover child values: they are skipped
-    masked = pa.ListArray.from_arrays(
-        pa.array([0, 1, 2, 2], pa.int32()),
-        spans.values.slice(0, 2),
-        mask=pa.array([False, True, False]),
-    )
-    assert masked.to_pylist()[1] is None
-    _assert_decodes_like_pylist(masked)
-    # a spans column that is not a list falls back to to_pylist()
-    _assert_decodes_like_pylist(pa.array([None, None], pa.null()))
-    # other struct shapes: four fields reordered with int64 offsets (what
-    # ray.data.from_items may infer), and three fields one of them a float
-    for fields in (
-        [("offset", pa.int64()), ("text", pa.string()), ("kind", pa.string()),
-         ("media_ref", pa.string())],
-        [("kind", pa.string()), ("text", pa.large_string()), ("score", pa.float64())],
-    ):
-        other = pa.array(
-            [
-                None if r is None else [
-                    None if sp is None else {f: sp.get(f, 0.5) for f, _ in fields}
-                    for sp in r
-                ]
-                for r in rows
-            ],
-            pa.list_(pa.struct(fields)),
-        )
-        _assert_decodes_like_pylist(other)
-        _assert_decodes_like_pylist(other.slice(3, 4))
-
-
-def test_decode_spans_fuzz():
-    """Seeded fuzz: random slices and chunkings of _route_corpus() batches
-    decode exactly as to_pylist() does."""
-    import random
-
-    table, _ = _route_corpus()
-    spans = table["spans"].combine_chunks()
-    rng = random.Random(20261019)
-    n = len(spans)
-    for _ in range(200):
-        start = rng.randrange(n + 1)
-        piece = spans.slice(start, rng.randrange(n - start + 1))
-        cuts = sorted(rng.randrange(len(piece) + 1) for _ in range(rng.randrange(4)))
-        bounds = [0, *cuts, len(piece)]
-        chunks = [piece.slice(a, b - a) for a, b in zip(bounds, bounds[1:])]
-        _assert_decodes_like_pylist(piece)
-        _assert_decodes_like_pylist(pa.chunked_array(chunks, spans.type))
+    calls = [
+        f"{p.relative_to(package)}:{line}"
+        for layer in ("pipelines", "stages")
+        for p in sorted((package / layer).rglob("*.py"))
+        for line, text in enumerate(p.read_text(encoding="utf-8").splitlines(), 1)
+        if to_pylist.search(text)
+    ]
+    assert calls == []
 
 
 def _fragments(doc, parts):

@@ -392,16 +392,17 @@ def test_span_columns_render_like_render_doc(rows, cut):
 @given(
     st.lists(st.lists(_span_rows(), min_size=1, max_size=3), min_size=1, max_size=5),
     st.integers(1, 8),
-    st.sampled_from(["corpus", "reordered", "other"]),
+    st.sampled_from(["corpus", "reordered", "other", "null_strings"]),
 )
 @settings(max_examples=200, deadline=None)
 def test_render_slices_like_render_doc(docs, cap, shape):
     """render_slices with a small SLICE_SPANS, over docs of one to three
     fragment rows (so a per-row cut would split a doc's fragments), gives
-    each doc the render_doc rows of its fragments sorted by (page,
-    page_order): for the corpus span struct, for the same four fields
-    reordered with large_string texts and int64 offsets (the column path),
-    and for a struct of another shape (decode_spans and render_doc)."""
+    each doc the render_doc rows of its fragments' span dicts sorted by
+    (page, page_order): for the corpus span struct, for the same four
+    fields reordered with large_string texts and int64 offsets, for float64
+    offsets beside an extra field, and for null-typed texts and
+    media_refs."""
     from unittest import mock
 
     import pyarrow as pa
@@ -415,16 +416,25 @@ def test_render_slices_like_render_doc(docs, cap, shape):
         fields = [("offset", pa.int64()), ("text", pa.large_string()),
                   ("kind", pa.string()), ("media_ref", pa.string())]
         if shape == "other":
-            fields[0] = ("offset", pa.float64())
+            fields = [("offset", pa.float64()), *fields[1:], ("score", pa.float64())]
+        if shape == "null_strings":
+            fields[1], fields[3] = ("text", pa.null()), ("media_ref", pa.null())
         schema = pa.schema([("doc_id", pa.string()), ("spans", pa.list_(pa.struct(fields)))])
+        extra = {"other": {"score": 0.5}, "null_strings": {"text": None, "media_ref": None}}
+        for item in items:
+            if item["spans"] is not None:
+                item["spans"] = [
+                    None if sp is None else {**sp, **extra.get(shape, {})} for sp in item["spans"]
+                ]
     table = pa.Table.from_pylist(items, schema=schema)
     with mock.patch.object(render_stage, "SLICE_SPANS", cap):
         got = [doc for docs_ in render_stage.render_slices(table, 8) for doc in docs_]
     want = []
+    row_spans = iter(table["spans"].to_pylist())
     for k, frags in enumerate(docs):
         doc_id = f"d{k}"
         bucket = render_stage.bucket_of(doc_id, 8)
-        rows = [r for s in frags for r in render_stage.render_doc(doc_id, s, bucket)]
+        rows = [r for _ in frags for r in render_stage.render_doc(doc_id, next(row_spans), bucket)]
         rows.sort(key=lambda r: (r["page"], r["page_order"]))
         want.append((doc_id, rows))
     assert got == want

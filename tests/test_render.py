@@ -98,3 +98,16 @@ def test_assemble_output_spans_offsets_dense():
     out = render.assemble_output_spans(rows, strip_boilerplate=False)
     assert [s["offset"] for s in out] == [0, 1, 2]
     assert [s["kind"] for s in out] == ["text", "image", "table"]
+
+
+def test_table_to_text():
+    """extractor.py:400-413: cells joined by " | " (None reads as ""),
+    empty rows and rows whose joined text is blank dropped, lines joined by
+    newlines."""
+    assert render.table_to_text([]) == ""
+    assert render.table_to_text(None) == ""
+    assert render.table_to_text([["a", "b"], ["c", None]]) == "a | b\nc | "
+    assert render.table_to_text([[None, 1], [], None, [None], [" \t"], ["x"]]) == " | 1\nx"
+    # the separator is not blank: a row of two empty cells stays
+    assert render.table_to_text([[None, None]]) == " | "
+    assert render.table_to_text([[" "], []]) == ""
